@@ -1,11 +1,17 @@
 //! The `perf-smoke` throughput gate: runs the Fig. 10 sweep at a fixed
-//! scale on one worker twice — once on the scalar path, once with the
-//! lockstep batch engine — writes `BENCH_sim_throughput.json`
-//! (`wishbranch.throughput/v1` for the scalar run plus the flat
-//! `batch_uops_per_sec` / `batch_width` / `batch_speedup` dimension from
-//! the batched run), and fails if either path's simulator throughput
-//! regressed more than [`MAX_REGRESSION`] against the committed baseline
-//! (`crates/bench/perf_baseline.json`).
+//! scale on one worker twice — once at batch width 1 (every job alone on
+//! one lane of the engine, through `Simulator`), once at width 8 (jobs
+//! that share a binary run as lanes of one `BatchSimulator`) — writes
+//! `BENCH_sim_throughput.json` (`wishbranch.throughput/v1` for the
+//! width-1 run plus the flat `batch_uops_per_sec` / `batch_width` /
+//! `batch_speedup` dimension from the width-8 run), and fails if either
+//! run's simulator throughput regressed more than [`MAX_REGRESSION`]
+//! against the committed baseline (`crates/bench/perf_baseline.json`).
+//!
+//! Both runs use the same out-of-order engine, so `batch_speedup` is
+//! width 8 against one lane: it measures what lockstep batching (shared
+//! decode, round locality) adds on top of the lane layout, not a second
+//! engine against the first.
 //!
 //! Environment:
 //! - `WISHBRANCH_THROUGHPUT_OUT` — where to write the artifact
@@ -21,8 +27,8 @@ use wishbranch_core::{throughput_json, Experiment, ExperimentConfig, SweepRunner
 const SCALE: i32 = 1000;
 
 /// Lockstep lanes for the batched measurement (one Fig. 10 compile group
-/// is 9 benches wide at default width, so 8 keeps one straggler on the
-/// scalar path — the same shape real sweeps see).
+/// is 9 benches wide at default width, so 8 leaves one straggler to run
+/// alone — the same shape real sweeps see).
 const BATCH: usize = 8;
 
 /// Allowed throughput loss vs the committed baseline (the ISSUE's 25%).
@@ -64,17 +70,17 @@ fn measure(ec: &ExperimentConfig, batch: usize) -> wishbranch_core::SweepSummary
 
 fn main() {
     let ec = ExperimentConfig::paper(SCALE);
-    let scalar = measure(&ec, 1);
+    let single = measure(&ec, 1);
     let batched = measure(&ec, BATCH);
     assert!(
         batched.batched_jobs > 0,
         "batched pass planned no batches: {batched:?}"
     );
 
-    let s_uops = scalar.uops_per_sec();
+    let s_uops = single.uops_per_sec();
     let b_uops = batched.uops_per_sec();
     let speedup = b_uops / s_uops;
-    let base = throughput_json(&scalar);
+    let base = throughput_json(&single);
     let doc = format!(
         "{},\"batch_uops_per_sec\":{:.6},\"batch_width\":{},\"batch_speedup\":{:.6}}}",
         base.strip_suffix('}').expect("throughput_json is an object"),
@@ -87,12 +93,12 @@ fn main() {
         .unwrap_or_else(|_| "BENCH_sim_throughput.json".into());
     std::fs::write(&out, format!("{doc}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!(
-        "perf-smoke: {} jobs, scalar {:.0} uops/s (simulate {:.2}s) | \
+        "perf-smoke: {} jobs, one lane {:.0} uops/s (simulate {:.2}s) | \
          batch={BATCH} {:.0} uops/s (simulate {:.2}s, {} lanes batched) | \
          speedup {speedup:.2}x -> {out}",
-        scalar.jobs,
+        single.jobs,
         s_uops,
-        scalar.simulate_time.as_secs_f64(),
+        single.simulate_time.as_secs_f64(),
         b_uops,
         batched.simulate_time.as_secs_f64(),
         batched.batched_jobs,
@@ -128,7 +134,7 @@ fn main() {
             );
         }
     };
-    gate("scalar", s_uops, "uops_per_sec");
+    gate("one-lane", s_uops, "uops_per_sec");
     gate("batched", b_uops, "batch_uops_per_sec");
     assert!(pass, "perf-smoke throughput gate failed");
     println!("perf-smoke: PASS");

@@ -186,7 +186,8 @@ struct CompileKey {
     options: OptionsKey,
 }
 
-/// One unit of worker-pool scheduling: a scalar job, or a group of
+/// One unit of worker-pool scheduling: a single job (simulated alone on
+/// one lane, through [`wishbranch_uarch::Simulator`]), or a group of
 /// compatible jobs (same compiled binary) simulated in lockstep by one
 /// [`BatchSimulator`]. Values are positions into the `try_run` job slice.
 enum WorkUnit {
@@ -280,11 +281,11 @@ pub struct SweepSummary {
     /// Retired µops across all executed jobs (journal hits excluded).
     pub sim_uops: u64,
     /// Configured batch width (lanes per [`wishbranch_uarch::BatchSimulator`]
-    /// group); `1` means every job takes the scalar path.
+    /// group); `1` means every job is simulated alone.
     pub batch_size: usize,
     /// Jobs executed as lanes of a lockstep batch (subset of `jobs`;
-    /// singleton groups and fault-injected jobs fall back to the scalar
-    /// path and are not counted here).
+    /// singleton groups and fault-injected jobs are simulated alone and
+    /// are not counted here).
     pub batched_jobs: u64,
 }
 
@@ -378,7 +379,7 @@ pub struct SweepRunner {
     wall_budget: Option<Duration>,
     /// Recycled simulator buffers, one entry per idle worker: each worker
     /// checks one out for its whole tour and threads it through every
-    /// scalar-path job it runs, so back-to-back jobs reuse the big
+    /// single job it runs, so back-to-back jobs reuse the big
     /// allocations instead of reallocating them per job.
     scratch_pool: Mutex<Vec<SimScratch>>,
     journal: Mutex<Option<JournalState>>,
@@ -534,10 +535,11 @@ impl SweepRunner {
     /// Sets the lockstep batch width (`--batch N` / `WISHBRANCH_BATCH`).
     /// With a width above 1, [`try_run`](Self::try_run) groups jobs that
     /// share a compiled binary into [`BatchSimulator`] batches of up to
-    /// `width` lanes; every lane's result is bit-identical to the scalar
-    /// path. Singleton groups, fault-injected indices, and wall-budgeted
-    /// runs (per-job wall time is not attributable inside a shared batch)
-    /// keep the scalar path. `0` is clamped to 1 (batching off).
+    /// `width` lanes; every lane's result equals the same job simulated
+    /// alone, so the width changes throughput, never results. Singleton
+    /// groups, fault-injected indices, and wall-budgeted runs (per-job
+    /// wall time is not attributable inside a shared batch) are simulated
+    /// alone. `0` is clamped to 1 (batching off).
     pub fn set_batch(&mut self, width: usize) {
         self.batch = width.max(1);
     }
@@ -785,7 +787,7 @@ impl SweepRunner {
     /// a shared batch) every job is a [`WorkUnit::Single`]. Otherwise
     /// jobs sharing a compile key — and therefore a compiled program —
     /// are grouped in first-seen order and chunked to the batch width.
-    /// Fault-injected indices always keep the scalar path, so the
+    /// Fault-injected indices are always single units, so the
     /// injection machinery and its recovery behave exactly as tested.
     fn plan_units(&self, jobs: &[SweepJob], base: u64) -> Vec<WorkUnit> {
         if self.batch <= 1 || self.wall_budget.is_some() {
@@ -889,7 +891,7 @@ impl SweepRunner {
     }
 
     /// The execution half of [`run_indexed`](Self::run_indexed) — after
-    /// the journal/store lookups. Also the scalar fallback for batch
+    /// the journal/store lookups. Also the single-job fallback for batch
     /// lanes, which have already done (and must not repeat) the lookups.
     fn run_fresh(
         &self,
@@ -932,12 +934,12 @@ impl SweepRunner {
     }
 
     /// One planned batch: every live lane simulated in lockstep by a
-    /// single [`BatchSimulator`], preserving the scalar path's semantics
+    /// single [`BatchSimulator`], preserving the single-job path's semantics
     /// per job — journal/store lookups first, per-job binary-cache
     /// accounting, lockstep-oracle replay, architectural verification,
     /// and [`JobError`] isolation (one faulting lane gaps only its own
     /// cell). The whole batch is wrapped in `catch_unwind`; on a panic
-    /// every lane reruns on the scalar path, which isolates the panic to
+    /// every lane reruns as a single job, which isolates the panic to
     /// the one job that caused it.
     fn run_batch(
         &self,
@@ -956,10 +958,10 @@ impl SweepRunner {
             }
         }
         // Acquire the shared binary once per job, so the cache counters
-        // match the scalar path exactly (first lane misses and compiles,
-        // the rest hit). A compile-path failure sends that job down the
-        // scalar path, which reports the memoized error with the usual
-        // record semantics.
+        // match the single-job path exactly (first lane misses and
+        // compiles, the rest hit). A compile-path failure sends that job
+        // down the single-job path, which reports the memoized error with
+        // the usual record semantics.
         struct LanePlan {
             idx: usize,
             bin: Arc<CompiledBinary>,
@@ -983,7 +985,7 @@ impl SweepRunner {
             }
         }
         if plans.len() <= 1 {
-            // Nothing left to share: scalar path.
+            // Nothing left to share: simulate alone.
             for plan in &plans {
                 let outcome = self.run_fresh(&jobs[plan.idx], base + plan.idx as u64, scratch);
                 *lock_unpoisoned(&slots[plan.idx]) = Some(outcome);

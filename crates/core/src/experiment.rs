@@ -190,8 +190,9 @@ pub fn simulate_unverified(
 /// [`simulate_unverified`] with caller-owned scratch buffers: the
 /// simulator is built with [`Simulator::with_scratch`] and recycled back
 /// into `scratch` afterwards, so a worker running many jobs back to back
-/// reuses its large allocations (decoded µops, ROB, queues) instead of
-/// reallocating them per job. Bit-identical to the unpooled path.
+/// reuses its large allocations (the decoded µop tables and the lane's
+/// arenas) instead of reallocating them per job. Bit-identical to the
+/// unpooled path.
 ///
 /// # Errors
 ///

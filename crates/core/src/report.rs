@@ -517,7 +517,7 @@ fn push_csv_row(out: &mut String, cells: &[String]) {
 /// host-second of simulate-phase time; journal hits contribute nothing),
 /// and the batch block (`size` = configured lockstep width, `batched_jobs`
 /// = jobs that actually ran in a multi-lane [`BatchSimulator`] round
-/// rather than on the scalar path).
+/// rather than alone).
 ///
 /// [`BatchSimulator`]: wishbranch_uarch::BatchSimulator
 #[must_use]

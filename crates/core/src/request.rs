@@ -91,7 +91,7 @@ pub struct SweepRequest {
     pub oracle: bool,
     /// Lockstep batch width: jobs sharing a compiled binary are simulated
     /// as lanes of one [`wishbranch_uarch::BatchSimulator`] group of up
-    /// to this many lanes, bit-identically to the scalar path. `None`
+    /// to this many lanes, bit-identically to simulating each alone. `None`
     /// falls back to [`BATCH_ENV`], then 1 (batching off).
     pub batch: Option<usize>,
     /// Explicit deterministic fault plan; `None` falls back to

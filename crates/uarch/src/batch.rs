@@ -1,7 +1,15 @@
-//! Batched lockstep simulation: N independent lanes advanced over
-//! structure-of-arrays state by one [`BatchSimulator`].
+//! The out-of-order engine. Every simulation runs as a *lane* over
+//! structure-of-arrays state: one lane alone behind [`crate::Simulator`],
+//! or N lanes in lockstep behind [`BatchSimulator`].
 //!
-//! A *lane* is one complete simulation — its own `MachineConfig`, input
+//! Per-cycle stage order: branch resolution → retire → issue/execute →
+//! dispatch/rename → fetch. Fetch runs the speculative emulator
+//! ([`crate::emu::SpecEmulator`]) along the predicted path; branch
+//! resolution compares the predicted direction with the architectural one
+//! and flushes (or, for wish branches in low-confidence mode, deliberately
+//! does not flush) per §3.5.4 of the paper.
+//!
+//! A lane is one complete simulation — its own `MachineConfig`, input
 //! memory image, predictors, speculative emulator and counters — but all
 //! lanes of a batch share one pre-decoded per-PC µop cache and static DHP
 //! hammock-plan table ([`crate::decode::DecodedProgram`], behind an `Arc`)
@@ -10,28 +18,35 @@
 //! cycles, and finished lanes are retired from the active set so a
 //! straggler lane never serializes the others' completion.
 //!
-//! # Bit-identity contract
-//!
-//! Every lane must produce a [`SimResult`] **byte-identical** to the
-//! scalar [`crate::Simulator`] run with the same program, configuration
-//! and inputs. Lanes are fully independent (nothing dynamic is shared),
-//! so the round granularity cannot affect results; what the lane engine
-//! changes is only the *layout* of in-flight µop state:
+//! # Layout
 //!
 //! * fetched µops live in a per-lane slot arena ([`UopSlot`]) written once
-//!   at fetch; the front-end queue and ROB hold `u32` slot indices
-//!   instead of moving ~230-byte [`FetchedUop`]/[`RobEntry`] structs
-//!   through every pipeline stage (the scalar hot path's dominant cost);
-//! * ROB entries are slim
-//!   records ([`RobSlim`]) with *implicit* contiguous ids — the id of
-//!   entry `i` is `front_id + i`, maintained at retire/flush, replacing
-//!   the stored `id`/`next_rob_id` pair;
+//!   at fetch; the front-end queue and ROB hold `u32` slot indices, so no
+//!   stage moves a µop's full state around;
+//! * ROB entries are slim records ([`RobSlim`]) with *implicit* contiguous
+//!   ids — the id of entry `i` is `front_id + i`, maintained at
+//!   retire/flush;
 //! * static per-PC facts are read by reference from the shared
-//!   `DecodedProgram` instead of being copied per rename.
+//!   `DecodedProgram`, and per-PC/per-predicate dynamic state (the
+//!   predicate-elimination buffer, cmp2 pairings, wish-loop last
+//!   predictions, the predicate-value PHT, hot-site counters) lives in
+//!   flat direct-indexed tables;
+//! * scheduling is event-driven: a ready bitmap (oldest first), a
+//!   completion-event calendar ring, per-producer waiter lists, the
+//!   in-flight unresolved branches and a store queue — plus an idle
+//!   fast-forward ([`Lane::inert_until`]) over cycles in which no stage
+//!   can act.
 //!
-//! The port preserves the scalar engine's stateful operation order
-//! exactly; `tests/golden_figures.rs` and the batched-vs-scalar
-//! equivalence suite lock the contract.
+//! # Reference
+//!
+//! This is the crate's only out-of-order core. Its answers are pinned by
+//! three golden lanes in `tests/golden_figures.rs` — 24 flat-model jobs,
+//! 24 memory-hierarchy jobs, and 71 jobs fingerprinted by the scalar core
+//! this engine replaced — and checked µop by µop against the ISA by the
+//! lockstep oracle ([`wishbranch_isa::LockstepOracle`]).
+//! `tests/batch_equiv.rs` checks lane-count invariance: lanes share
+//! nothing dynamic, so a job alone equals the same job at any position in
+//! a batch, whatever the round size.
 
 use crate::config::{MachineConfig, OracleConfig, PredMechanism};
 use crate::core::{
@@ -40,7 +55,8 @@ use crate::core::{
 };
 use crate::decode::{DecodeKey, DecodedProgram, PcInfo, EC_DIV, EC_LOAD, EC_MUL, EC_UNIT};
 use crate::emu::{SpecEmulator, StepInfo};
-use crate::stats::{HotSiteCounts, LoopExitClass, SimStats, WishClassCounts};
+use crate::stats::{HotSiteCounts, SimStats, WishClassCounts};
+use crate::trace::{TraceEvent, TraceKind};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
@@ -139,15 +155,17 @@ struct RobSlim {
 }
 
 /// Progress of one lane after an [`Lane::advance`] round.
-enum LaneStatus {
+pub(crate) enum LaneStatus {
     Running,
     Halted,
     Limit(SimError),
 }
 
-/// One lane's complete dynamic state: the scalar simulator's fields over
-/// arena/slim storage, sharing its `DecodedProgram` read-only.
-struct Lane {
+/// One simulation's complete dynamic state over arena/slim storage,
+/// sharing its `DecodedProgram` read-only. Every out-of-order simulation
+/// runs on a `Lane`: the lanes of a [`BatchSimulator`], and the single lane
+/// behind [`crate::Simulator`].
+pub(crate) struct Lane {
     decoded: Arc<DecodedProgram>,
     cfg: MachineConfig,
     fetch_queue_cap: usize,
@@ -181,8 +199,8 @@ struct Lane {
     conf_history: u64,
     next_seq: u64,
     /// Id of the ROB entry at index 0; when the ROB is empty, the id the
-    /// next pushed entry receives. Mirrors the scalar invariant
-    /// `next_rob_id == front.id + rob.len()`.
+    /// next pushed entry receives. The next id is always
+    /// `front_id + rob.len()`.
     front_id: u64,
     /// The µop slot arena and its free list.
     slots: Vec<UopSlot>,
@@ -193,9 +211,9 @@ struct Lane {
     fe_queue: VecDeque<u32>,
     rob: VecDeque<RobSlim>,
     /// Ready set: a circular bitmap over entry ids (capacity ≥ ROB size,
-    /// power of two). Lowest-id-first extraction replaces the scalar
-    /// engine's binary heap; insertion order is irrelevant to a bitmap, so
-    /// wakeup events may fire in any within-cycle order.
+    /// power of two), extracted lowest id (oldest) first. Insertion order
+    /// is irrelevant to a bitmap, so wakeup events may fire in any
+    /// within-cycle order.
     ready_bits: Vec<u64>,
     ready_mask: u64,
     ready_count: u32,
@@ -217,23 +235,99 @@ struct Lane {
     pred_prod: [Option<u64>; NUM_PREDS],
     stats: SimStats,
     halted: bool,
-    retire_log: Option<Vec<wishbranch_isa::RetireRecord>>,
+    /// Retired-instruction stream for the lockstep oracle (off by
+    /// default).
+    pub(crate) retire_log: Option<Vec<wishbranch_isa::RetireRecord>>,
+    /// Pipeview events (off by default; see [`crate::trace`]).
+    pub(crate) trace: Option<Vec<TraceEvent>>,
+}
+
+/// A lane's reusable heap buffers: the per-PC tables, the µop and
+/// branch-metadata arenas, the ROB and front-end queue, the ready bitmap,
+/// the event calendar and the scheduling scratch lists. [`Lane::new`]
+/// takes them (emptied and resized for the program) and
+/// [`Lane::into_parts`] hands them back, so a worker that runs many jobs
+/// back to back allocates them once (see [`crate::SimScratch`]). Purely an
+/// allocation cache: a lane built on reused arenas is bit-identical to one
+/// built on fresh ones.
+#[derive(Default)]
+pub(crate) struct LaneArenas {
+    loop_last_pred: Vec<Option<(bool, u64)>>,
+    pred_value_pht: Vec<u8>,
+    hot_sites: Vec<HotSiteCounts>,
+    slots: Vec<UopSlot>,
+    free: Vec<u32>,
+    br_arena: Vec<BrMeta>,
+    br_free: Vec<u32>,
+    fe_queue: VecDeque<u32>,
+    rob: VecDeque<RobSlim>,
+    ready_bits: Vec<u64>,
+    ring: Vec<Vec<u64>>,
+    far_events: BinaryHeap<Reverse<(u64, u64)>>,
+    unresolved: Vec<u64>,
+    store_queue: VecDeque<u64>,
+    blocked_loads: Vec<u64>,
+    dep_scratch: Vec<u64>,
+    waiter_pool: Vec<Vec<u64>>,
 }
 
 impl Lane {
-    fn new(spec: &BatchLaneSpec<'_>, decoded: Arc<DecodedProgram>) -> Lane {
-        let cfg = spec.cfg.clone();
+    /// A lane at cycle 0 with cold predictors and caches, running the
+    /// program behind `decoded` on `cfg`, over `arenas`' allocations.
+    pub(crate) fn new(
+        cfg: MachineConfig,
+        decoded: Arc<DecodedProgram>,
+        arenas: LaneArenas,
+    ) -> Lane {
         let n = decoded.len();
         let ready_cap = cfg.rob_size.next_power_of_two().max(64);
-        let mut emu = SpecEmulator::new();
-        for &(a, v) in &spec.preload_mem {
-            emu.mem.insert(a, v);
+        let LaneArenas {
+            mut loop_last_pred,
+            mut pred_value_pht,
+            mut hot_sites,
+            mut slots,
+            mut free,
+            mut br_arena,
+            mut br_free,
+            mut fe_queue,
+            mut rob,
+            mut ready_bits,
+            mut ring,
+            mut far_events,
+            mut unresolved,
+            mut store_queue,
+            mut blocked_loads,
+            mut dep_scratch,
+            waiter_pool,
+        } = arenas;
+        loop_last_pred.clear();
+        loop_last_pred.resize(n, None);
+        pred_value_pht.clear();
+        pred_value_pht.resize(n, 2);
+        hot_sites.clear();
+        hot_sites.resize(n, HotSiteCounts::default());
+        slots.clear();
+        free.clear();
+        br_arena.clear();
+        br_free.clear();
+        fe_queue.clear();
+        rob.clear();
+        ready_bits.clear();
+        ready_bits.resize(ready_cap / 64, 0);
+        ring.resize_with(RING as usize, Vec::new);
+        for bucket in &mut ring {
+            bucket.clear();
         }
+        far_events.clear();
+        unresolved.clear();
+        store_queue.clear();
+        blocked_loads.clear();
+        dep_scratch.clear();
         Lane {
             fetch_pc: decoded.entry,
             fetch_queue_cap: cfg.fetch_queue_cap(),
             cycle: 0,
-            emu,
+            emu: SpecEmulator::new(),
             mem: MemoryHierarchy::new(cfg.mem),
             bp: HybridPredictor::new(cfg.bpred),
             btb: Btb::new(cfg.btb),
@@ -254,46 +348,100 @@ impl Lane {
             pred_elim: [None; NUM_PREDS],
             pred_elim_live: 0,
             cmp2_partner: [None; NUM_PREDS],
-            loop_last_pred: vec![None; n],
+            loop_last_pred,
             dhp: DhpState::Off,
-            pred_value_pht: vec![2; n],
-            hot_sites: vec![HotSiteCounts::default(); n],
+            pred_value_pht,
+            hot_sites,
             conf_history: 0,
             next_seq: 1,
             front_id: 1,
-            slots: Vec::new(),
-            free: Vec::new(),
-            br_arena: Vec::new(),
-            br_free: Vec::new(),
-            fe_queue: VecDeque::new(),
-            rob: VecDeque::new(),
-            ready_bits: vec![0; ready_cap / 64],
+            slots,
+            free,
+            br_arena,
+            br_free,
+            fe_queue,
+            rob,
+            ready_bits,
             ready_mask: ready_cap as u64 - 1,
             ready_count: 0,
-            ring: (0..RING).map(|_| Vec::new()).collect(),
+            ring,
             ring_occ: [0; RING_WORDS],
-            far_events: BinaryHeap::new(),
+            far_events,
             far_min: u64::MAX,
             next_resolve: 0,
-            unresolved: Vec::new(),
-            store_queue: VecDeque::new(),
-            blocked_loads: Vec::new(),
-            dep_scratch: Vec::new(),
-            waiter_pool: Vec::new(),
+            unresolved,
+            store_queue,
+            blocked_loads,
+            dep_scratch,
+            waiter_pool,
             gpr_prod: [None; NUM_GPRS],
             pred_prod: [None; NUM_PREDS],
             stats: SimStats::default(),
             halted: false,
-            retire_log: spec.retire_log.then(Vec::new),
+            retire_log: None,
+            trace: None,
             decoded,
             cfg,
+        }
+    }
+
+    /// Consumes the lane, returning its decoded program and its arenas
+    /// for the next [`Lane::new`].
+    pub(crate) fn into_parts(self) -> (Arc<DecodedProgram>, LaneArenas) {
+        let arenas = LaneArenas {
+            loop_last_pred: self.loop_last_pred,
+            pred_value_pht: self.pred_value_pht,
+            hot_sites: self.hot_sites,
+            slots: self.slots,
+            free: self.free,
+            br_arena: self.br_arena,
+            br_free: self.br_free,
+            fe_queue: self.fe_queue,
+            rob: self.rob,
+            ready_bits: self.ready_bits,
+            ring: self.ring,
+            far_events: self.far_events,
+            unresolved: self.unresolved,
+            store_queue: self.store_queue,
+            blocked_loads: self.blocked_loads,
+            dep_scratch: self.dep_scratch,
+            waiter_pool: self.waiter_pool,
+        };
+        (self.decoded, arenas)
+    }
+
+    /// Preloads a data-memory word (program input) before cycle 0.
+    pub(crate) fn preload_mem(&mut self, addr: u64, value: i64) {
+        self.emu.mem.insert(addr, value);
+    }
+
+    /// Appends one pipeview event for the µop `(seq, pc)` at the current
+    /// cycle. Every call site guards with `self.trace.is_some()`, so an
+    /// untraced lane pays one `Option` check per site and never formats a
+    /// disassembly.
+    #[cold]
+    fn trace_event(&mut self, d: &DecodedProgram, kind: TraceKind, seq: u64, pc: u32, extra: u64) {
+        debug_assert!(
+            self.trace.is_some(),
+            "trace_event called without an active trace"
+        );
+        let cycle = self.cycle;
+        if let Some(t) = self.trace.as_mut() {
+            t.push(TraceEvent {
+                cycle,
+                kind,
+                seq,
+                pc,
+                disasm: d.pcs[pc as usize].insn.to_string(),
+                extra,
+            });
         }
     }
 
     /// Runs up to `budget` cycles of the per-cycle loop. All loop state
     /// lives in `self`, so splitting a run into rounds is invisible to the
     /// simulation.
-    fn advance(&mut self, budget: u64) -> LaneStatus {
+    pub(crate) fn advance(&mut self, budget: u64) -> LaneStatus {
         let d = Arc::clone(&self.decoded);
         let mut left = budget;
         while !self.halted {
@@ -316,6 +464,10 @@ impl Lane {
                 continue;
             }
             left -= 1;
+            // Resolve completions first so a branch that finished executing
+            // this cycle can retire this cycle (otherwise every branch that
+            // reaches the ROB head right after completing would lose a
+            // cycle, throttling retirement in window-full phases).
             self.resolve_branches(&d);
             let retired_before = self.stats.retired_uops;
             self.cyc_retired_useful = false;
@@ -343,15 +495,17 @@ impl Lane {
                 self.stats.fetch_idle_cycles += 1;
                 self.account_fetch_idle();
             }
+            // Attribute this cycle to exactly one cause, immediately before
+            // the cycle counter advances — this placement makes the
+            // `cycle_accounting.total() == cycles` invariant structural.
             self.account_cycle(retired_any);
             self.cycle += 1;
         }
         LaneStatus::Halted
     }
 
-    /// Final statistics fold and architectural-state capture (the scalar
-    /// run's post-loop tail).
-    fn finish(&mut self) -> SimResult {
+    /// Final statistics fold and architectural-state capture after halt.
+    pub(crate) fn finish(&mut self) -> SimResult {
         self.stats.cycles = self.cycle;
         let (ic, l1, l2) = self.mem.stats();
         self.stats.icache = ic;
@@ -373,6 +527,8 @@ impl Lane {
 
     // ------------------------------------------------------ cycle accounting
 
+    /// Splits a zero-fetch cycle by cause (`SimStats::fetch_idle_*`). The
+    /// four split counters always sum to `fetch_idle_cycles`.
     fn account_fetch_idle(&mut self) {
         if self.fetch_blocked {
             self.stats.fetch_idle_blocked += 1;
@@ -384,10 +540,15 @@ impl Lane {
         } else if self.fe_queue.len() >= self.fetch_queue_cap {
             self.stats.fetch_idle_queue_full += 1;
         } else {
+            // An I-miss stall armed during this cycle's own fetch attempt
+            // lands in the branch above; anything left is a same-cycle
+            // redirect bubble.
             self.stats.fetch_idle_redirect += 1;
         }
     }
 
+    /// Charges the current cycle to exactly one [`crate::CycleAccounting`]
+    /// category (top-down: what retired, else why nothing did).
     fn account_cycle(&mut self, retired_any: bool) {
         let acc = &mut self.stats.cycle_accounting;
         if retired_any {
@@ -401,6 +562,12 @@ impl Lane {
             return;
         }
         if !self.rob.is_empty() {
+            // Something is in flight but the head cannot retire yet. The
+            // memory causes only fire under the non-blocking hierarchy:
+            // `cyc_mshr_stalled`/`cyc_writebuf_stalled` are set when an
+            // issue was refused this cycle, and `fill_pending_at` is true
+            // while a line fill is in flight. All stay false under the flat
+            // model.
             if self.cyc_mshr_stalled {
                 acc.mshr_full += 1;
             } else if self.cyc_writebuf_stalled {
@@ -423,8 +590,8 @@ impl Lane {
             && self.fetch_stall_reason == StallReason::IMiss
             && !self.fetch_blocked
         {
-            // Mirrors the scalar split: non-blocking I-fills in flight get
-            // their own cause, flat I-miss stalls keep `fetch_imiss`.
+            // Non-blocking I-fills in flight get their own cause; flat
+            // I-miss stalls keep `fetch_imiss`.
             if self.mem.ifill_pending_at(self.cycle) {
                 acc.imiss_pending += 1;
             } else {
@@ -777,6 +944,9 @@ impl Lane {
             let s = &self.slots[e.slot as usize];
             (s.seq, s.pc, s.info, s.br, s.hw_guard, s.pred_check)
         };
+        if self.trace.is_some() {
+            self.trace_event(d, TraceKind::Retire, seq, pc, 0);
+        }
         let pi = &d.pcs[pc as usize];
         let insn = &pi.insn;
         let dhp = br_ref != NO_BR && self.br_arena[br_ref as usize].dhp;
@@ -1082,6 +1252,9 @@ impl Lane {
         while let Some(slot) = self.fe_queue.pop_front() {
             self.free_slot(slot);
         }
+        if self.trace.is_some() {
+            self.trace_event(d, TraceKind::Flush, seq, flush_pc, squashed_total);
+        }
         // Ids stay contiguous implicitly: the next id is front_id + len.
         // Events and ready bits of squashed entries must go eagerly: ids
         // are reused for the refetched path.
@@ -1251,6 +1424,11 @@ impl Lane {
                 continue;
             };
             let ready_cycle = self.cycle + lat;
+            if self.trace.is_some() {
+                let s = &self.slots[self.rob[idx].slot as usize];
+                let (seq, pc) = (s.seq, s.pc);
+                self.trace_event(d, TraceKind::Issue, seq, pc, ready_cycle);
+            }
             let e = &mut self.rob[idx];
             e.flags |= F_ISSUED | F_DONE;
             e.ready_cycle = ready_cycle;
@@ -1447,6 +1625,11 @@ impl Lane {
 
     /// Pushes one ROB entry whose dependences are in `dep_scratch`.
     fn push_rob(&mut self, d: &DecodedProgram, slot: u32, role: Role) -> u64 {
+        if self.trace.is_some() {
+            let s = &self.slots[slot as usize];
+            let (seq, pc) = (s.seq, s.pc);
+            self.trace_event(d, TraceKind::Dispatch, seq, pc, 0);
+        }
         let id = self.front_id + self.rob.len() as u64;
         let mut unready = 0u32;
         let have_front = !self.rob.is_empty();
@@ -1942,6 +2125,9 @@ impl Lane {
 
         // Front-end table maintenance after the µop is "decoded".
         self.note_pred_writes(d, pc);
+        if self.trace.is_some() {
+            self.trace_event(d, TraceKind::Fetch, seq, pc, 0);
+        }
 
         // Branch metadata lives in a side arena: most µops are not
         // branches, and `BrMeta` embeds a 272-byte RAS checkpoint that
@@ -2176,8 +2362,8 @@ impl Lane {
 /// Advances N independent simulation lanes in lockstep rounds over a
 /// shared pre-decoded µop cache. Lanes are grouped by
 /// `(program identity, decode key)` for decode sharing; everything dynamic
-/// is per-lane, so every lane's [`SimResult`] is bit-identical to a scalar
-/// [`crate::Simulator`] run.
+/// is per-lane, so every lane's [`SimResult`] equals the same job run
+/// alone on a [`crate::Simulator`].
 ///
 /// # Example
 ///
@@ -2232,7 +2418,12 @@ impl BatchSimulator {
                     a
                 }
             };
-            lanes.push(Lane::new(spec, decoded));
+            let mut lane = Lane::new(spec.cfg.clone(), decoded, LaneArenas::default());
+            for &(addr, value) in &spec.preload_mem {
+                lane.preload_mem(addr, value);
+            }
+            lane.retire_log = spec.retire_log.then(Vec::new);
+            lanes.push(lane);
         }
         BatchSimulator { lanes }
     }
@@ -2273,17 +2464,5 @@ impl BatchSimulator {
     /// commit order, exactly like [`crate::Simulator::take_retire_log`].
     pub fn take_retire_log(&mut self, lane: usize) -> Vec<wishbranch_isa::RetireRecord> {
         self.lanes[lane].retire_log.take().unwrap_or_default()
-    }
-}
-
-// The scalar engine's loop-exit classes are re-exported through stats; the
-// slim ROB stores them as small codes. Keep the mapping in one place.
-#[allow(dead_code)]
-fn loop_class_of(code: u8) -> Option<LoopExitClass> {
-    match code {
-        LC_EARLY => Some(LoopExitClass::EarlyExit),
-        LC_LATE => Some(LoopExitClass::LateExit),
-        LC_NOEXIT => Some(LoopExitClass::NoExit),
-        _ => None,
     }
 }

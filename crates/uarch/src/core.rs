@@ -1,50 +1,28 @@
-//! The cycle-level out-of-order core.
+//! The single-job simulator handle, and the pipeline vocabulary the lane
+//! engine is written in.
 //!
-//! Per-cycle stage order: retire → branch resolution → issue/execute →
-//! dispatch/rename → fetch. Fetch runs the speculative emulator
-//! ([`crate::emu::SpecEmulator`]) along the predicted path; branch
-//! resolution compares the predicted direction with the architectural one
-//! and flushes (or, for wish branches in low-confidence mode, deliberately
-//! does not flush) per §3.5.4 of the paper.
+//! [`Simulator`] is a thin facade over one lane of the out-of-order engine
+//! in [`crate::batch`] — the crate's only core. A [`crate::BatchSimulator`]
+//! runs N such lanes in lockstep rounds; a `Simulator` runs one to
+//! completion, optionally on buffers recycled from the previous job
+//! ([`SimScratch`]). Both produce the same [`SimResult`] for the same
+//! program, configuration and input.
 //!
-//! # Hot-path organization
-//!
-//! The per-cycle loop is event-driven rather than scan-driven, with three
-//! load-bearing structures (all asserted bit-identical to the historical
-//! scan implementation by `tests/golden_figures.rs`):
-//!
-//! * **Pre-decoded µop cache** ([`PcInfo`], built once per program in
-//!   [`Simulator::new`]): per-PC static facts — decoded source/destination
-//!   registers, branch class, I-cache line, select-µop expandability, and
-//!   the static DHP hammock plan — so `fetch`/`fetch_one`/`rename_into_rob`
-//!   never re-derive them per dynamic instruction.
-//! * **Flat state tables**: the predicate-elimination buffer, cmp2
-//!   pairings, wish-loop last-prediction buffer, predicate-value PHT and
-//!   per-PC hot-site counters are direct-indexed arrays (by predicate
-//!   register or PC) instead of hash maps.
-//! * **Wakeup lists**: `issue` pops a ready min-heap fed by completion
-//!   events and per-producer waiter lists ([`WaiterList`]) instead of
-//!   walking the whole ROB; `resolve_branches` walks only the in-flight
-//!   unresolved branches; the oldest-unexecuted-store limit comes from a
-//!   store queue. Dependence lists live in a reused scratch buffer during
-//!   rename and become per-entry counters — no per-µop allocation.
+//! The types below the facade (branch metadata, front-end modes, the
+//! waiter list, the I-cache fetch gate, …) are the engine's shared
+//! vocabulary.
 
-use crate::config::{MachineConfig, OracleConfig, PredMechanism};
-use crate::decode::{DecodedProgram, PcInfo};
-use crate::emu::{SpecEmulator, StepInfo};
-use crate::stats::{HotSiteCounts, LoopExitClass, SimStats, WishClassCounts};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use crate::batch::{Lane, LaneArenas, LaneStatus};
+use crate::config::MachineConfig;
+use crate::decode::DecodedProgram;
+use crate::stats::SimStats;
 use std::error::Error;
 use std::fmt;
-use wishbranch_bpred::{
-    Btb, BtbEntry, BtbKind, HybridPredictor, HybridToken, IndirectConfig, IndirectTargetCache,
-    JrsConfidence, LoopPredictor, LoopToken, RasCheckpoint, ReturnAddressStack,
-};
-use wishbranch_isa::{
-    insn_addr, BranchKind, Gpr, Insn, InsnKind, PredReg, Program, WishType, NUM_GPRS, NUM_PREDS,
-};
-use wishbranch_mem::{AccessOutcome, MemoryHierarchy, StoreOutcome};
+use std::marker::PhantomData;
+use std::sync::Arc;
+use wishbranch_bpred::{HybridToken, LoopToken, RasCheckpoint};
+use wishbranch_isa::{insn_addr, PredReg, Program, NUM_GPRS, NUM_PREDS};
+use wishbranch_mem::{AccessOutcome, MemoryHierarchy};
 
 /// Errors from [`Simulator::run`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -155,26 +133,6 @@ pub(crate) struct BrMeta {
     pub(crate) dhp: bool,
 }
 
-/// One fetched µop.
-#[derive(Clone, Copy, Debug)]
-struct FetchedUop {
-    seq: u64,
-    pc: u32,
-    insn: Insn,
-    info: StepInfo,
-    fetch_cycle: u64,
-    br: Option<BrMeta>,
-    /// Guard value supplied by the predicate-dependency-elimination buffer
-    /// (§3.5.3), if any.
-    guard_pred_elim: Option<bool>,
-    /// Hardware-injected guard from dynamic hammock predication:
-    /// `(register, negated)`.
-    hw_guard: Option<(PredReg, bool)>,
-    /// Predicate prediction (Chuang & Calder baseline): the value this
-    /// predicate-defining µop was predicted to produce (first destination).
-    pred_check: Option<bool>,
-}
-
 /// Role of a ROB entry under the select-µop mechanism.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Role {
@@ -192,7 +150,7 @@ pub(crate) const WAITERS_INLINE: usize = 4;
 /// Consumers waiting on one producer's completion, in ascending ROB-id
 /// order (ids only grow between flushes, and a flush truncates the tail).
 /// Small-buffer inline; the rare spill vectors are recycled through
-/// `Simulator::waiter_pool` across flushes so steady state allocates
+/// the lane's `waiter_pool` across flushes so steady state allocates
 /// nothing per µop.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct WaiterList {
@@ -238,154 +196,39 @@ impl WaiterList {
     }
 }
 
-#[derive(Clone, Debug)]
-struct RobEntry {
-    id: u64,
-    f: FetchedUop,
-    role: Role,
-    /// Producers this entry still waits on (wakeup-driven; counted at
-    /// dispatch, decremented by completion events and retirement).
-    unready: u32,
-    /// Entries to wake when this one's result becomes value-ready.
-    waiters: WaiterList,
-    issued: bool,
-    done: bool,
-    ready_cycle: u64,
-    resolved: bool,
-    /// Filled at resolution for mispredicted low-confidence wish loops.
-    loop_class: Option<LoopExitClass>,
-    /// The branch mispredicted (recorded at resolution, consumed at retire).
-    mispredicted: bool,
-}
-
-/// The simulator. Create with [`Simulator::new`], optionally preload state
-/// via [`Simulator::preload_mem`]/[`Simulator::preload_reg`], then
+/// Simulates one program on one machine configuration. Create with
+/// [`Simulator::new`] (or [`Simulator::with_scratch`] to reuse a previous
+/// job's buffers), preload the input with [`Simulator::preload_mem`], then
 /// [`Simulator::run`].
+///
+/// A `Simulator` is one lane of the out-of-order engine that
+/// [`crate::BatchSimulator`] runs N at a time: a job simulated alone and
+/// the same job at any position in a batch produce equal results.
 pub struct Simulator<'p> {
-    /// Kept for the lifetime tie; all per-PC reads go through `decoded`.
-    #[allow(dead_code)]
-    program: &'p Program,
-    /// Pre-decoded static per-PC tables (µop cache, DHP plans, wish-loop
-    /// PC set).
-    decoded: DecodedProgram,
-    cfg: MachineConfig,
-    /// Cached [`MachineConfig::fetch_queue_cap`].
-    fetch_queue_cap: usize,
-    cycle: u64,
-    emu: SpecEmulator,
-    mem: MemoryHierarchy,
-    bp: HybridPredictor,
-    btb: Btb,
-    ras: ReturnAddressStack,
-    itc: IndirectTargetCache,
-    jrs: JrsConfidence,
-    loop_pred: Option<LoopPredictor>,
-    // Fetch state.
-    fetch_pc: u32,
-    fetch_stall_until: u64,
-    /// Why `fetch_stall_until` was last armed (cycle accounting).
-    fetch_stall_reason: StallReason,
-    fetch_blocked: bool,
-    fetch_line: Option<u64>,
-    /// Cycle of the most recent pipeline flush (cycle accounting: idle
-    /// cycles inside the refill shadow are charged to `flush_recovery`).
-    last_flush_cycle: Option<u64>,
-    /// Set by `retire_entry` when a useful (non-overhead) µop retires in
-    /// the current cycle.
-    cyc_retired_useful: bool,
-    /// Set by `retire_entry` when a guard-false µop retires in the
-    /// current cycle.
-    cyc_retired_guard_false: bool,
-    /// Set by `issue` when a ready load/store was refused an MSHR this
-    /// cycle (non-blocking hierarchy; drives the `mshr-full` cause).
-    cyc_mshr_stalled: bool,
-    /// Set by `issue` when a ready store was refused a write-buffer entry
-    /// this cycle (non-blocking hierarchy; drives the `writebuf-full`
-    /// cause).
-    cyc_writebuf_stalled: bool,
-    mode: Mode,
-    /// §3.5.3 buffer: predicted value per predicate register.
-    pred_elim: [Option<bool>; NUM_PREDS],
-    /// Live entries in `pred_elim` (emptiness without a scan).
-    pred_elim_live: u32,
-    /// Decode-time cmp2 pairing: complement partner per predicate register.
-    cmp2_partner: [Option<u8>; NUM_PREDS],
-    /// §3.5.4 buffer, indexed by static wish-loop pc:
-    /// (last predicted direction, seq).
-    loop_last_pred: Vec<Option<(bool, u64)>>,
-    dhp: DhpState,
-    /// Per-PC two-bit counters for the predicate-prediction baseline
-    /// (initialized to 2, the historical `or_insert(2)` default).
-    pred_value_pht: Vec<u8>,
-    /// Per-PC hot-site counters (flat during the run; folded into
-    /// `SimStats::hot_sites` once at the end).
-    hot_sites: Vec<HotSiteCounts>,
-    /// The confidence estimator's own history register: resolved outcomes
-    /// of retired wish branches. Using non-speculative outcome history
-    /// (rather than the fetch-direction GHR, which contains forced
-    /// not-taken bits) keeps confidence contexts stable — our "modified
-    /// JRS" (§3.5.5).
-    conf_history: u64,
-    next_seq: u64,
-    next_rob_id: u64,
-    fe_queue: VecDeque<FetchedUop>,
-    rob: VecDeque<RobEntry>,
-    // Wakeup-driven scheduling state. Invariants (checked against the
-    // historical full-ROB scans by the golden-equivalence tests):
-    // `ready` holds exactly the unissued entries whose registered
-    // dependences are all value-ready; `events` holds one (ready_cycle, id)
-    // per issued entry; `unresolved` holds the dispatch-ordered ids of
-    // un-resolved Whole branches / predicate checks; `store_queue` holds
-    // dispatch-ordered store ids with the executed prefix popped.
-    ready: BinaryHeap<Reverse<u64>>,
-    events: BinaryHeap<Reverse<(u64, u64)>>,
-    unresolved: Vec<u64>,
-    store_queue: VecDeque<u64>,
-    /// Scratch: ready loads blocked behind an older store this cycle.
-    blocked_loads: Vec<u64>,
-    /// Scratch: the dependence list being built during rename (reused for
-    /// every µop — dependences become counters at registration).
-    dep_scratch: Vec<u64>,
-    /// Recycled spill vectors for [`WaiterList`].
-    waiter_pool: Vec<Vec<u64>>,
-    gpr_prod: [Option<u64>; NUM_GPRS],
-    pred_prod: [Option<u64>; NUM_PREDS],
-    stats: SimStats,
-    halted: bool,
-    trace: Option<Vec<crate::trace::TraceEvent>>,
-    /// Retired-instruction stream for the lockstep oracle (off by default).
-    retire_log: Option<Vec<wishbranch_isa::RetireRecord>>,
+    lane: Lane,
+    /// The lane decodes `program` up front; the borrow ties the simulator
+    /// to it like a batch lane's [`crate::BatchLaneSpec`] does.
+    program: PhantomData<&'p Program>,
 }
 
 /// Reusable simulator buffers: a worker thread keeps one `SimScratch` and
 /// threads it through consecutive [`Simulator::with_scratch`] /
-/// [`Simulator::recycle`] pairs so back-to-back jobs reuse the decoded-µop
-/// tables, ROB/front-end queues and scheduling heaps instead of
-/// reallocating them per job. Purely an allocation cache: a simulator
-/// built from a scratch pool is bit-identical to one built fresh.
+/// [`Simulator::recycle`] pairs, so back-to-back jobs reuse the decoded-µop
+/// tables and the lane's arenas (µop slots, ROB, queues, ready bitmap,
+/// event calendar) instead of reallocating them per job. Purely an
+/// allocation cache: a simulator built from a scratch pool is
+/// bit-identical to one built fresh.
 #[derive(Default)]
 pub struct SimScratch {
     decoded: DecodedProgram,
-    loop_last_pred: Vec<Option<(bool, u64)>>,
-    pred_value_pht: Vec<u8>,
-    hot_sites: Vec<HotSiteCounts>,
-    fe_queue: VecDeque<FetchedUop>,
-    rob: VecDeque<RobEntry>,
-    ready: BinaryHeap<Reverse<u64>>,
-    events: BinaryHeap<Reverse<(u64, u64)>>,
-    unresolved: Vec<u64>,
-    store_queue: VecDeque<u64>,
-    blocked_loads: Vec<u64>,
-    dep_scratch: Vec<u64>,
-    waiter_pool: Vec<Vec<u64>>,
+    arenas: LaneArenas,
 }
 
 impl<'p> Simulator<'p> {
     /// Creates a simulator over `program` with cold predictors and caches.
     #[must_use]
     pub fn new(program: &'p Program, cfg: MachineConfig) -> Simulator<'p> {
-        let mut scratch = SimScratch::default();
-        Simulator::with_scratch(program, cfg, &mut scratch)
+        Simulator::with_scratch(program, cfg, &mut SimScratch::default())
     }
 
     /// Like [`Simulator::new`], but reuses the buffer allocations held in
@@ -397,112 +240,35 @@ impl<'p> Simulator<'p> {
         cfg: MachineConfig,
         scratch: &mut SimScratch,
     ) -> Simulator<'p> {
-        let mem = MemoryHierarchy::new(cfg.mem);
-        let bp = HybridPredictor::new(cfg.bpred);
-        let btb = Btb::new(cfg.btb);
-        let jrs = JrsConfidence::new(cfg.jrs);
-        let loop_pred = cfg.wish_loop_predictor.map(LoopPredictor::new);
-        let n = program.len();
         let mut decoded = std::mem::take(&mut scratch.decoded);
         decoded.rebuild(program, &cfg);
-        let mut loop_last_pred = std::mem::take(&mut scratch.loop_last_pred);
-        loop_last_pred.clear();
-        loop_last_pred.resize(n, None);
-        let mut pred_value_pht = std::mem::take(&mut scratch.pred_value_pht);
-        pred_value_pht.clear();
-        pred_value_pht.resize(n, 2);
-        let mut hot_sites = std::mem::take(&mut scratch.hot_sites);
-        hot_sites.clear();
-        hot_sites.resize(n, HotSiteCounts::default());
+        let arenas = std::mem::take(&mut scratch.arenas);
         Simulator {
-            fetch_pc: program.entry(),
-            program,
-            decoded,
-            fetch_queue_cap: cfg.fetch_queue_cap(),
-            cycle: 0,
-            emu: SpecEmulator::new(),
-            mem,
-            bp,
-            btb,
-            ras: ReturnAddressStack::new(),
-            itc: IndirectTargetCache::new(IndirectConfig::default()),
-            jrs,
-            loop_pred,
-            fetch_stall_until: 0,
-            fetch_stall_reason: StallReason::Redirect,
-            fetch_blocked: false,
-            fetch_line: None,
-            last_flush_cycle: None,
-            cyc_retired_useful: false,
-            cyc_retired_guard_false: false,
-            cyc_mshr_stalled: false,
-            cyc_writebuf_stalled: false,
-            mode: Mode::Normal,
-            pred_elim: [None; NUM_PREDS],
-            pred_elim_live: 0,
-            cmp2_partner: [None; NUM_PREDS],
-            loop_last_pred,
-            dhp: DhpState::Off,
-            pred_value_pht,
-            hot_sites,
-            conf_history: 0,
-            next_seq: 1,
-            next_rob_id: 1,
-            fe_queue: std::mem::take(&mut scratch.fe_queue),
-            rob: std::mem::take(&mut scratch.rob),
-            ready: std::mem::take(&mut scratch.ready),
-            events: std::mem::take(&mut scratch.events),
-            unresolved: std::mem::take(&mut scratch.unresolved),
-            store_queue: std::mem::take(&mut scratch.store_queue),
-            blocked_loads: std::mem::take(&mut scratch.blocked_loads),
-            dep_scratch: std::mem::take(&mut scratch.dep_scratch),
-            waiter_pool: std::mem::take(&mut scratch.waiter_pool),
-            gpr_prod: [None; NUM_GPRS],
-            pred_prod: [None; NUM_PREDS],
-            stats: SimStats::default(),
-            halted: false,
-            trace: None,
-            retire_log: None,
-            cfg,
+            lane: Lane::new(cfg, Arc::new(decoded), arenas),
+            program: PhantomData,
         }
     }
 
     /// Returns this simulator's buffers to `scratch` for the next
     /// [`Simulator::with_scratch`] on the same worker.
-    pub fn recycle(mut self, scratch: &mut SimScratch) {
-        self.fe_queue.clear();
-        self.rob.clear();
-        self.ready.clear();
-        self.events.clear();
-        self.unresolved.clear();
-        self.store_queue.clear();
-        self.blocked_loads.clear();
-        self.dep_scratch.clear();
-        scratch.decoded = self.decoded;
-        scratch.loop_last_pred = self.loop_last_pred;
-        scratch.pred_value_pht = self.pred_value_pht;
-        scratch.hot_sites = self.hot_sites;
-        scratch.fe_queue = self.fe_queue;
-        scratch.rob = self.rob;
-        scratch.ready = self.ready;
-        scratch.events = self.events;
-        scratch.unresolved = self.unresolved;
-        scratch.store_queue = self.store_queue;
-        scratch.blocked_loads = self.blocked_loads;
-        scratch.dep_scratch = self.dep_scratch;
-        scratch.waiter_pool = self.waiter_pool;
+    pub fn recycle(self, scratch: &mut SimScratch) {
+        let (decoded, arenas) = self.lane.into_parts();
+        scratch.arenas = arenas;
+        if let Ok(decoded) = Arc::try_unwrap(decoded) {
+            scratch.decoded = decoded;
+        }
     }
 
     /// Enables pipeline event tracing (see [`crate::trace`]). Call before
     /// [`Simulator::run`]; collect the events with
     /// [`Simulator::take_trace`]. Tracing does not change timing.
     pub fn enable_trace(&mut self) {
-        self.trace = Some(Vec::new());
+        self.lane.trace = Some(Vec::new());
     }
 
     /// Takes the collected trace (empty if tracing was never enabled).
     pub fn take_trace(&mut self) -> Vec<crate::trace::TraceEvent> {
-        self.trace.take().unwrap_or_default()
+        self.lane.trace.take().unwrap_or_default()
     }
 
     /// Enables the retired-instruction stream for differential validation
@@ -510,52 +276,19 @@ impl<'p> Simulator<'p> {
     /// [`Simulator::run`]; collect with [`Simulator::take_retire_log`].
     /// Like tracing, the log observes retirement and never changes timing.
     pub fn enable_retire_log(&mut self) {
-        self.retire_log = Some(Vec::new());
+        self.lane.retire_log = Some(Vec::new());
     }
 
     /// Takes the collected retired stream (empty if never enabled). One
     /// record per retired architectural µop in commit order; select-µop
     /// `Compute` halves are folded into their `Select` records.
     pub fn take_retire_log(&mut self) -> Vec<wishbranch_isa::RetireRecord> {
-        self.retire_log.take().unwrap_or_default()
-    }
-
-    fn trace_event(
-        &mut self,
-        kind: crate::trace::TraceKind,
-        seq: u64,
-        pc: u32,
-        insn: &Insn,
-        extra: u64,
-    ) {
-        // Every call site pre-guards with `self.trace.is_some()`: the
-        // non-tracing path must pay nothing for disasm formatting or
-        // event allocation.
-        debug_assert!(
-            self.trace.is_some(),
-            "trace_event called without an active trace"
-        );
-        let cycle = self.cycle;
-        if let Some(t) = self.trace.as_mut() {
-            t.push(crate::trace::TraceEvent {
-                cycle,
-                kind,
-                seq,
-                pc,
-                disasm: insn.to_string(),
-                extra,
-            });
-        }
+        self.lane.retire_log.take().unwrap_or_default()
     }
 
     /// Preloads a data-memory word (program input).
     pub fn preload_mem(&mut self, addr: u64, value: i64) {
-        self.emu.mem.insert(addr, value);
-    }
-
-    /// Preloads a general register (program input).
-    pub fn preload_reg(&mut self, reg: Gpr, value: i64) {
-        self.emu.regs[reg.index()] = value;
+        self.lane.preload_mem(addr, value);
     }
 
     /// Runs to `halt` retirement. The accumulated statistics move into the
@@ -567,1659 +300,11 @@ impl<'p> Simulator<'p> {
     /// Returns [`SimError::CycleLimitExceeded`] if the configured cycle
     /// budget runs out (runaway program or configuration bug).
     pub fn run(&mut self) -> Result<SimResult, SimError> {
-        while !self.halted {
-            if self.cycle >= self.cfg.max_cycles {
-                return Err(SimError::CycleLimitExceeded {
-                    limit: self.cfg.max_cycles,
-                });
-            }
-            // Resolve completions first so a branch that finished executing
-            // this cycle can retire this cycle (otherwise every branch that
-            // reaches the ROB head right after completing would lose a
-            // cycle, throttling retirement in window-full phases).
-            self.resolve_branches();
-            let retired_before = self.stats.retired_uops;
-            self.cyc_retired_useful = false;
-            self.cyc_retired_guard_false = false;
-            self.cyc_mshr_stalled = false;
-            self.cyc_writebuf_stalled = false;
-            self.retire();
-            let retired_any = self.stats.retired_uops != retired_before;
-            if !retired_any {
-                self.stats.retire_idle_cycles += 1;
-            }
-            if self.halted {
-                // The halt-retiring iteration does not increment `cycle`,
-                // so it is deliberately left out of the accounting.
-                break;
-            }
-            self.issue();
-            let rob_before = self.rob.len();
-            self.dispatch();
-            if self.rob.len() == rob_before {
-                self.stats.dispatch_idle_cycles += 1;
-            }
-            let fetched_before = self.stats.fetched_uops;
-            self.fetch();
-            if self.stats.fetched_uops == fetched_before {
-                self.stats.fetch_idle_cycles += 1;
-                self.account_fetch_idle();
-            }
-            // Attribute this cycle to exactly one cause, immediately before
-            // the cycle counter advances — this placement makes the
-            // `cycle_accounting.total() == cycles` invariant structural.
-            self.account_cycle(retired_any);
-            self.cycle += 1;
-        }
-        self.stats.cycles = self.cycle;
-        let (ic, l1, l2) = self.mem.stats();
-        self.stats.icache = ic;
-        self.stats.l1d = l1;
-        self.stats.l2 = l2;
-        self.stats.wrong_path_fills = self.mem.wrong_path_fills();
-        // Fold the flat per-PC counters into the reported map. Every
-        // touched row was incremented at least once, so keeping only
-        // non-default rows reproduces the historical on-demand map exactly.
-        for (pc, c) in self.hot_sites.iter().enumerate() {
-            if *c != HotSiteCounts::default() {
-                self.stats.hot_sites.insert(pc as u32, *c);
-            }
-        }
-        Ok(SimResult {
-            stats: std::mem::take(&mut self.stats),
-            final_regs: self.emu.regs,
-            final_preds: self.emu.preds,
-            final_mem: self.emu.mem.sorted_entries().into_iter().collect(),
-        })
-    }
-
-    // ------------------------------------------------------ cycle accounting
-
-    /// Splits a zero-fetch cycle by cause (`SimStats::fetch_idle_*`). The
-    /// four split counters always sum to `fetch_idle_cycles`.
-    fn account_fetch_idle(&mut self) {
-        if self.fetch_blocked {
-            self.stats.fetch_idle_blocked += 1;
-        } else if self.cycle < self.fetch_stall_until {
-            match self.fetch_stall_reason {
-                StallReason::IMiss => self.stats.fetch_idle_imiss += 1,
-                StallReason::Redirect => self.stats.fetch_idle_redirect += 1,
-            }
-        } else if self.fe_queue.len() >= self.fetch_queue_cap {
-            self.stats.fetch_idle_queue_full += 1;
-        } else {
-            // An I-miss stall armed during this cycle's own fetch attempt
-            // lands in the branch above; anything left is a same-cycle
-            // redirect bubble.
-            self.stats.fetch_idle_redirect += 1;
-        }
-    }
-
-    /// Charges the current cycle to exactly one [`CycleAccounting`]
-    /// category (top-down: what retired, else why nothing did).
-    fn account_cycle(&mut self, retired_any: bool) {
-        let acc = &mut self.stats.cycle_accounting;
-        if retired_any {
-            if self.cyc_retired_useful {
-                acc.useful_retire += 1;
-            } else if self.cyc_retired_guard_false {
-                acc.guard_false_retire += 1;
-            } else {
-                acc.select_uop_retire += 1;
-            }
-            return;
-        }
-        if !self.rob.is_empty() {
-            // Something is in flight but the head cannot retire yet. The
-            // two memory causes only fire under the non-blocking
-            // hierarchy: `cyc_mshr_stalled` is set when an issue was
-            // refused this cycle, and `fill_pending_at` is true while a
-            // line fill is still in flight. Both stay false under the
-            // flat model, so its attribution is unchanged.
-            if self.cyc_mshr_stalled {
-                acc.mshr_full += 1;
-            } else if self.cyc_writebuf_stalled {
-                acc.writebuf_full += 1;
-            } else if self.rob.len() >= self.cfg.rob_size {
-                acc.rob_stall += 1;
-            } else if self.mem.fill_pending_at(self.cycle) {
-                acc.miss_pending += 1;
-            } else {
-                acc.exec_wait += 1;
-            }
-            return;
-        }
-        // Empty window: the front end is the bottleneck.
-        let in_flush_shadow = self
-            .last_flush_cycle
-            .is_some_and(|c| self.cycle <= c + self.cfg.pipeline_depth + 1);
-        if in_flush_shadow {
-            acc.flush_recovery += 1;
-        } else if self.cycle < self.fetch_stall_until
-            && self.fetch_stall_reason == StallReason::IMiss
-            && !self.fetch_blocked
-        {
-            // Non-blocking I-side stalls (an I-fill in flight in the
-            // I-MSHRs) get their own cause; flat-model I-miss stalls keep
-            // the historical `fetch_imiss` attribution.
-            if self.mem.ifill_pending_at(self.cycle) {
-                acc.imiss_pending += 1;
-            } else {
-                acc.fetch_imiss += 1;
-            }
-        } else if !self.fe_queue.is_empty() || self.fetch_blocked {
-            acc.frontend_fill += 1;
-        } else {
-            acc.fetch_redirect += 1;
-        }
-    }
-
-    /// Per-PC hot-site row.
-    fn site(&mut self, pc: u32) -> &mut HotSiteCounts {
-        &mut self.hot_sites[pc as usize]
-    }
-
-    // ------------------------------------------------------------- wakeup
-
-    /// Returns the spill vector to the pool (keeps steady-state waiter
-    /// registration allocation-free).
-    fn recycle_spill(&mut self, w: WaiterList) {
-        if w.spill.capacity() > 0 {
-            let mut s = w.spill;
-            s.clear();
-            self.waiter_pool.push(s);
-        }
-    }
-
-    /// Wakes every waiter in the list (their producer became value-ready).
-    fn wake_list(&mut self, w: WaiterList) {
-        let n = w.len as usize;
-        for i in 0..n.min(WAITERS_INLINE) {
-            self.dec_unready(w.inline[i]);
-        }
-        for i in WAITERS_INLINE..n {
-            self.dec_unready(w.spill[i - WAITERS_INLINE]);
-        }
-        self.recycle_spill(w);
-    }
-
-    /// A completion event fired for `id`: wake its registered waiters.
-    fn wake(&mut self, id: u64) {
-        let Some(front) = self.rob.front() else {
-            return; // producer retired with the rest of the window
-        };
-        if id < front.id {
-            return; // retired: its waiters were already woken at retire
-        }
-        let idx = (id - front.id) as usize;
-        debug_assert!(idx < self.rob.len(), "events are purged on flush");
-        let w = std::mem::take(&mut self.rob[idx].waiters);
-        self.wake_list(w);
-    }
-
-    /// One of `id`'s producers became value-ready.
-    fn dec_unready(&mut self, id: u64) {
-        let front_id = self.rob.front().expect("waiters are live entries").id;
-        let idx = (id - front_id) as usize;
-        let e = &mut self.rob[idx];
-        debug_assert!(e.unready > 0, "each registration decrements once");
-        debug_assert!(!e.issued, "issued entries had no outstanding deps");
-        e.unready -= 1;
-        if e.unready == 0 {
-            self.ready.push(Reverse(id));
-        }
-    }
-
-    // ----------------------------------------------------------------- retire
-
-    fn retire(&mut self) {
-        let mut retired = 0;
-        while retired < self.cfg.retire_width {
-            let Some(head) = self.rob.front() else { break };
-            if !head.done || head.ready_cycle > self.cycle {
-                break;
-            }
-            if head.f.insn.is_branch() && !head.resolved {
-                break;
-            }
-            // Non-branch predicate checks always resolve before they can
-            // retire: resolution runs first each cycle with the same
-            // readiness condition.
-            debug_assert!(
-                head.resolved || head.role != Role::Whole || head.f.pred_check.is_none(),
-                "pred checks resolve before retiring"
-            );
-            let mut entry = self.rob.pop_front().expect("checked non-empty");
-            // Wake consumers still waiting on this producer (its completion
-            // event may only fire later this cycle, after retire).
-            let waiters = std::mem::take(&mut entry.waiters);
-            self.wake_list(waiters);
-            retired += 1;
-            self.retire_entry(&entry);
-            if self.halted {
-                return;
-            }
-        }
-    }
-
-    fn retire_entry(&mut self, e: &RobEntry) {
-        if self.trace.is_some() {
-            self.trace_event(crate::trace::TraceKind::Retire, e.f.seq, e.f.pc, &e.f.insn, 0);
-        }
-        if let Some(log) = self.retire_log.as_mut() {
-            // One record per architectural µop: under select expansion the
-            // Select half carries the µop's committed effects; the Compute
-            // half is implementation detail.
-            if e.role != Role::Compute {
-                let info = &e.f.info;
-                let defs = e.f.insn.def_preds();
-                let mut pred_writes = [None, None];
-                for slot in 0..2 {
-                    if let (Some(p), Some(v)) = (defs[slot], info.pred_values[slot]) {
-                        pred_writes[slot] = Some((p.index() as u8, v));
-                    }
-                }
-                log.push(wishbranch_isa::RetireRecord {
-                    seq: e.f.seq,
-                    pc: e.f.pc,
-                    next_pc: info.followed_next,
-                    guard_true: info.guard_true,
-                    taken: info.actual_taken,
-                    forced: info.followed_next != info.actual_next,
-                    wish: e.f.insn.wish,
-                    dhp: e.f.br.is_some_and(|b| b.dhp),
-                    hw_guard: e.f.hw_guard.is_some(),
-                    reg_write: info.reg_write,
-                    pred_writes,
-                    mem_write: if info.is_store {
-                        info.mem_addr.zip(info.store_value)
-                    } else {
-                        None
-                    },
-                    halted: info.halted,
-                });
-            }
-        }
-        self.stats.retired_uops += 1;
-        if e.role == Role::Select {
-            self.stats.retired_select_uops += 1;
-        }
-        let guard_false = e.role != Role::Compute
-            && !e.f.info.guard_true
-            && (e.f.insn.guard.is_some() || e.f.hw_guard.is_some());
-        if guard_false {
-            self.stats.retired_guard_false += 1;
-            self.site(e.f.pc).guard_false_uops += 1;
-            self.cyc_retired_guard_false = true;
-        } else if e.role != Role::Select {
-            // Neither predication overhead nor select-µop overhead.
-            self.cyc_retired_useful = true;
-        }
-        // Rename-map references to this entry are left in place: every
-        // reader treats a producer id below the ROB head as architecturally
-        // ready, and retired ids are never recycled.
-        self.emu.commit_through(e.f.seq);
-
-        if let InsnKind::Halt = e.f.insn.kind {
-            self.halted = true;
-            return;
-        }
-
-        // Predicate-prediction training.
-        if e.f.pred_check.is_some() {
-            self.stats.pred_value_predictions += 1;
-            if let Some(actual) = e.f.info.pred_values[0] {
-                let c = &mut self.pred_value_pht[e.f.pc as usize];
-                if actual {
-                    *c = (*c + 1).min(3);
-                } else {
-                    *c = c.saturating_sub(1);
-                }
-            }
-        }
-
-        // Branch bookkeeping & trainer updates happen at retirement.
-        if e.role != Role::Whole || !e.f.insn.is_branch() {
-            return;
-        }
-        let Some(br) = e.f.br else { return };
-        let insn = e.f.insn;
-        match insn.kind {
-            InsnKind::Branch {
-                kind: BranchKind::Cond { .. },
-                ..
-            } => {
-                self.stats.retired_cond_branches += 1;
-                let actual = e.f.info.actual_taken;
-                if let Some(token) = br.bp_token {
-                    self.bp.update(e.f.pc, &token, actual);
-                }
-                if e.mispredicted {
-                    self.stats.retired_mispredicted += 1;
-                }
-                if let Some(conf_high) = br.conf_high {
-                    // Dedicated confidence estimator training (wish
-                    // branches, and DHP-eligible branches when DHP is on):
-                    // "correct" means the *predictor* (not the forced
-                    // direction) would have been right.
-                    let predictor_correct = br.predictor_said_taken == actual;
-                    if !self.cfg.oracles.perfect_confidence {
-                        self.jrs.update(e.f.pc, br.conf_ghr, predictor_correct);
-                    }
-                    self.conf_history = (self.conf_history << 1) | u64::from(actual);
-                    let counts: Option<&mut WishClassCounts> = match insn.wish {
-                        Some(WishType::Jump) => Some(&mut self.stats.wish_jumps),
-                        Some(WishType::Join) => Some(&mut self.stats.wish_joins),
-                        Some(WishType::Loop) => Some(&mut self.stats.wish_loops),
-                        None => None, // DHP branch
-                    };
-                    if let Some(counts) = counts {
-                        match (conf_high, predictor_correct) {
-                            (true, true) => counts.high_correct += 1,
-                            (true, false) => counts.high_mispredicted += 1,
-                            (false, true) => counts.low_correct += 1,
-                            (false, false) => counts.low_mispredicted += 1,
-                        }
-                    }
-                    match e.loop_class {
-                        Some(LoopExitClass::EarlyExit) => self.stats.loop_early_exits += 1,
-                        Some(LoopExitClass::LateExit) => self.stats.loop_late_exits += 1,
-                        Some(LoopExitClass::NoExit) => self.stats.loop_no_exits += 1,
-                        None => {}
-                    }
-                }
-                if insn.wish == Some(WishType::Loop) {
-                    if let (Some(lp), Some(ltok)) = (self.loop_pred.as_mut(), br.loop_token) {
-                        lp.update(e.f.pc, &ltok, actual);
-                    }
-                }
-                // Drop the front-end loop buffer entry once the loop branch
-                // retires ("fetched but not yet retired", §3.5.4).
-                if insn.wish == Some(WishType::Loop) {
-                    if let Some((_, seq)) = self.loop_last_pred[e.f.pc as usize] {
-                        if seq == e.f.seq {
-                            self.loop_last_pred[e.f.pc as usize] = None;
-                        }
-                    }
-                }
-            }
-            InsnKind::Branch {
-                kind: BranchKind::Indirect { .. },
-                ..
-            } => {
-                self.itc
-                    .update(e.f.pc, br.ghr_checkpoint, e.f.info.actual_next);
-                if e.mispredicted {
-                    self.stats.retired_mispredicted += 1;
-                }
-            }
-            _ => {
-                if e.mispredicted {
-                    self.stats.retired_mispredicted += 1;
-                }
-            }
-        }
-    }
-
-    // ---------------------------------------------------------- resolution
-
-    fn resolve_branches(&mut self) {
-        // Walk only the in-flight unresolved branches / predicate checks,
-        // oldest first (the list is in dispatch order). Resolution is
-        // out-of-order: a younger completed branch resolves while an older
-        // incomplete one stays pending. A flush truncates everything
-        // younger — including the list's own tail — so the walk simply
-        // continues; the already-examined prefix cannot have changed.
-        let mut i = 0;
-        while i < self.unresolved.len() {
-            let id = self.unresolved[i];
-            let front_id = self.rob.front().expect("unresolved entries are live").id;
-            debug_assert!(id >= front_id, "unresolved entries never retire first");
-            let idx = (id - front_id) as usize;
-            let e = &self.rob[idx];
-            if !e.done || e.ready_cycle > self.cycle {
-                i += 1;
-                continue;
-            }
-            self.unresolved.remove(i);
-            if e.f.pred_check.is_some() {
-                self.resolve_pred_check(idx);
-            } else {
-                self.resolve_one(idx);
-            }
-        }
-    }
-
-    /// Verifies a predicted predicate definition; returns whether it
-    /// flushed (the definition itself is correct — only its consumers used
-    /// the predicted value, so fetch resumes right after it).
-    fn resolve_pred_check(&mut self, idx: usize) -> bool {
-        let e = &mut self.rob[idx];
-        e.resolved = true;
-        let predicted = e.f.pred_check.expect("caller checked");
-        // Guard-false definitions keep their old value; treat as correct
-        // (consumers of the old value waited on the older producer).
-        let Some(actual) = e.f.info.pred_values[0] else {
-            return false;
-        };
-        if actual == predicted {
-            return false;
-        }
-        e.mispredicted = true;
-        let site_pc = e.f.pc;
-        self.stats.pred_value_mispredictions += 1;
-        self.stats.flushes += 1;
-        self.site(site_pc).flushes += 1;
-        self.flush_after(idx, site_pc + 1);
-        true
-    }
-
-    /// Resolves the branch at ROB index `idx`; returns whether it flushed.
-    fn resolve_one(&mut self, idx: usize) -> bool {
-        let e = &mut self.rob[idx];
-        e.resolved = true;
-        let br = e.f.br.expect("branches always carry metadata");
-        let actual_next = e.f.info.actual_next;
-        let mispredicted = br.predicted_next != actual_next;
-        e.mispredicted = mispredicted;
-        if !mispredicted {
-            return false;
-        }
-        let insn = e.f.insn;
-        let site_pc = e.f.pc;
-        let is_wish = insn.is_wish_branch() && self.cfg.wish_enabled;
-        let fetched_low_conf = matches!(br.fetch_mode, Mode::LowConf { .. });
-
-        // DHP branches never flush: both arms are in the pipeline under
-        // injected guards, so the fetched path is architecturally complete
-        // either way.
-        if br.dhp {
-            self.stats.flushes_avoided += 1;
-            self.stats.dhp_flushes_avoided += 1;
-            self.site(site_pc).flushes_avoided += 1;
-            return false;
-        }
-        // §3.5.4: decide whether this misprediction flushes.
-        let mut flush = true;
-        if is_wish && fetched_low_conf {
-            match insn.wish.expect("is_wish") {
-                WishType::Jump | WishType::Join => {
-                    // Low-confidence wish jumps/joins never flush: both
-                    // paths are predicated, the fetched fall-through path is
-                    // architecturally complete.
-                    flush = false;
-                }
-                WishType::Loop => {
-                    let actual_taken = e.f.info.actual_taken;
-                    if actual_taken {
-                        // Early-exit: the front end left the loop too soon.
-                        e.loop_class = Some(LoopExitClass::EarlyExit);
-                    } else {
-                        // Over-iteration: late-exit vs no-exit via the
-                        // front-end last-prediction buffer.
-                        let last = self.loop_last_pred[e.f.pc as usize];
-                        match last {
-                            Some((false, _)) => {
-                                e.loop_class = Some(LoopExitClass::LateExit);
-                                flush = false;
-                            }
-                            _ => {
-                                e.loop_class = Some(LoopExitClass::NoExit);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if !flush {
-            self.stats.flushes_avoided += 1;
-            self.site(site_pc).flushes_avoided += 1;
-            return false;
-        }
-        self.stats.flushes += 1;
-        self.site(site_pc).flushes += 1;
-        // The flush steers fetch back onto the architectural path: this
-        // branch retires having followed `actual_next`, not the squashed
-        // prediction it was fetched with.
-        self.rob[idx].f.info.followed_next = actual_next;
-        self.flush_after(idx, actual_next);
-        true
-    }
-
-    fn flush_after(&mut self, idx: usize, resume_pc: u32) {
-        let e = &self.rob[idx];
-        let seq = e.f.seq;
-        let flush_pc = e.f.pc;
-        let boundary = e.id;
-        let br = e.f.br.expect("flush source is a branch");
-        let is_cond = e.f.insn.is_conditional_branch();
-        let actual_taken = e.f.info.actual_taken;
-
-        // Squash younger ROB entries and the whole front-end queue.
-        let squashed_rob = self.rob.len() - (idx + 1);
-        while self.rob.len() > idx + 1 {
-            let dead = self.rob.pop_back().expect("length checked");
-            self.recycle_spill(dead.waiters);
-        }
-        let squashed_total = squashed_rob as u64 + self.fe_queue.len() as u64;
-        self.stats.squashed_uops += squashed_total;
-        self.fe_queue.clear();
-        if self.trace.is_some() {
-            let (seq, pc, insn) = {
-                let e = &self.rob[idx];
-                (e.f.seq, e.f.pc, e.f.insn)
-            };
-            self.trace_event(crate::trace::TraceKind::Flush, seq, pc, &insn, squashed_total);
-        }
-        // Keep ROB ids contiguous (dep lookups index by id − front.id):
-        // squashed ids are recycled — nothing can reference them, since
-        // surviving entries only depend on older ids, the rename maps are
-        // rebuilt below, and the scheduling structures are purged here.
-        self.next_rob_id = self.rob.back().map_or(self.next_rob_id, |e| e.id + 1);
-        self.ready.retain(|&Reverse(id)| id <= boundary);
-        self.events.retain(|&Reverse((_, id))| id <= boundary);
-        while self.store_queue.back().is_some_and(|&id| id > boundary) {
-            self.store_queue.pop_back();
-        }
-        let keep = self.unresolved.partition_point(|&id| id <= boundary);
-        self.unresolved.truncate(keep);
-
-        // Rebuild rename maps from the surviving entries, dropping their
-        // squashed waiters along the way.
-        self.gpr_prod = [None; NUM_GPRS];
-        self.pred_prod = [None; NUM_PREDS];
-        for i in 0..self.rob.len() {
-            let (id, pc, role) = {
-                let e = &mut self.rob[i];
-                e.waiters.truncate_above(boundary);
-                (e.id, e.f.pc, e.role)
-            };
-            if role == Role::Compute {
-                continue; // temps are invisible to the rename map
-            }
-            let info = &self.decoded.pcs[pc as usize];
-            if let Some(d) = info.def_gpr {
-                self.gpr_prod[d.index()] = Some(id);
-            }
-            for p in info.def_preds.into_iter().flatten() {
-                if !p.is_hardwired_true() {
-                    self.pred_prod[p.index()] = Some(id);
-                }
-            }
-        }
-
-        // Roll the speculative world back to just after the branch.
-        self.emu.rollback_after(seq);
-        self.ras.restore(&br.ras_checkpoint);
-        if is_cond {
-            self.bp.restore_ghr(br.ghr_checkpoint, actual_taken);
-        } else {
-            // Non-conditional branches never entered the GHR.
-            self.bp.set_ghr(br.ghr_checkpoint);
-        }
-        // Invalidate speculative front-end structures (§3.5.3: the buffer
-        // is reset on a branch misprediction).
-        self.pred_elim = [None; NUM_PREDS];
-        self.pred_elim_live = 0;
-        self.cmp2_partner = [None; NUM_PREDS];
-        self.mode = Mode::Normal;
-        self.dhp = DhpState::Off;
-        for i in 0..self.decoded.wish_loop_pcs.len() {
-            let pc = self.decoded.wish_loop_pcs[i];
-            if let Some((_, s)) = self.loop_last_pred[pc as usize] {
-                if s > seq {
-                    self.loop_last_pred[pc as usize] = None;
-                }
-            }
-        }
-        if let (Some(lp), Some(ltok)) = (self.loop_pred.as_mut(), br.loop_token) {
-            lp.repair(flush_pc, &ltok, actual_taken);
-        }
-
-        // Redirect fetch. In the non-blocking model the wrong-path
-        // instruction fills still in flight are cancelled (except the
-        // resume line's, which the redirected fetch coalesces onto) —
-        // see `MemoryHierarchy::squash_wrong_path_ifills`. No-op flat.
-        self.mem
-            .squash_wrong_path_ifills(self.cycle, insn_addr(resume_pc));
-        self.fetch_pc = resume_pc;
-        self.fetch_blocked = false;
-        self.fetch_line = None;
-        self.fetch_stall_until = self.cycle + 1;
-        self.fetch_stall_reason = StallReason::Redirect;
-        self.last_flush_cycle = Some(self.cycle);
-    }
-
-    // -------------------------------------------------------------- issue
-
-    /// Whether the store `id` has executed (its cache access happened).
-    /// Executed stores never revert — retirement and further cycles only
-    /// strengthen this.
-    fn store_executed(&self, id: u64) -> bool {
-        let Some(front) = self.rob.front() else {
-            return true; // retired
-        };
-        if id < front.id {
-            return true; // retired
-        }
-        let e = &self.rob[(id - front.id) as usize];
-        e.done && e.ready_cycle <= self.cycle
-    }
-
-    fn issue(&mut self) {
-        // Fire the completion events due this cycle, waking dependents.
-        // Latencies are ≥ 1, so nothing issued *this* cycle completes this
-        // cycle — draining up-front is exhaustive.
-        while let Some(&Reverse((ready_cycle, id))) = self.events.peek() {
-            if ready_cycle > self.cycle {
-                break;
-            }
-            self.events.pop();
-            self.wake(id);
-        }
-        // Oldest not-yet-executed store (conservative load/store ordering).
-        // The executed prefix is popped for good; the front is the limit
-        // for the whole cycle, exactly like the historical single scan.
-        while let Some(&sid) = self.store_queue.front() {
-            if self.store_executed(sid) {
-                self.store_queue.pop_front();
-            } else {
-                break;
-            }
-        }
-        let store_limit = self.store_queue.front().copied();
-
-        let mut issued = 0;
-        debug_assert!(self.blocked_loads.is_empty());
-        while issued < self.cfg.issue_width {
-            let Some(&Reverse(id)) = self.ready.peek() else { break };
-            self.ready.pop();
-            let front_id = self.rob.front().expect("ready entries are live").id;
-            let idx = (id - front_id) as usize;
-            let e = &self.rob[idx];
-            debug_assert!(!e.issued && e.unready == 0);
-            if matches!(e.f.insn.kind, InsnKind::Load { .. })
-                && store_limit.is_some_and(|limit| id > limit)
-            {
-                // An older store has not executed. With forwarding on, a
-                // load fully covered by the youngest older overlapping
-                // store issues anyway and takes the store's value (the
-                // forward happens in `exec_latency`); partial overlap and
-                // no-match wait conservatively. Blocked loads consume no
-                // issue bandwidth (the scan this heap replaces skipped
-                // them without counting).
-                match self.forward_state(idx) {
-                    ForwardState::Forward => {}
-                    ForwardState::PartialOverlap => {
-                        self.stats.load_replays += 1;
-                        self.blocked_loads.push(id);
-                        continue;
-                    }
-                    ForwardState::NoMatch => {
-                        self.blocked_loads.push(id);
-                        continue;
-                    }
-                }
-            }
-            let Some(lat) = self.exec_latency(idx) else {
-                // The memory access could not be accepted this cycle —
-                // MSHRs, write buffer or ports all busy; `exec_latency`
-                // recorded which. Retry next cycle without consuming
-                // issue bandwidth (mirrors blocked loads).
-                self.blocked_loads.push(id);
-                continue;
-            };
-            if self.trace.is_some() {
-                let (seq, pc, insn) = {
-                    let e = &self.rob[idx];
-                    (e.f.seq, e.f.pc, e.f.insn)
-                };
-                self.trace_event(crate::trace::TraceKind::Issue, seq, pc, &insn, self.cycle + lat);
-            }
-            let e = &mut self.rob[idx];
-            e.issued = true;
-            e.done = true;
-            e.ready_cycle = self.cycle + lat;
-            self.events.push(Reverse((e.ready_cycle, id)));
-            issued += 1;
-        }
-        // Blocked loads stay ready; they compete again next cycle.
-        while let Some(id) = self.blocked_loads.pop() {
-            self.ready.push(Reverse(id));
-        }
-    }
-
-    /// Execution latency of the entry at `idx`, or `None` when a memory
-    /// access could not be accepted this cycle (non-blocking hierarchy,
-    /// every needed MSHR busy) — the caller retries next cycle.
-    fn exec_latency(&mut self, idx: usize) -> Option<u64> {
-        let e = &self.rob[idx];
-        let guard_true = e.f.info.guard_true;
-        let role = e.role;
-        let pc = u64::from(e.f.pc);
-        match e.f.insn.kind {
-            InsnKind::Alu { op, .. } => Some(match op {
-                wishbranch_isa::AluOp::Mul => self.cfg.mul_latency,
-                wishbranch_isa::AluOp::Div => self.cfg.div_latency,
-                _ => 1,
-            }),
-            InsnKind::Load { .. } => {
-                // C-style guard-false loads are register moves; the
-                // select-µop compute part always accesses the cache.
-                let accesses_mem = match role {
-                    Role::Whole => guard_true,
-                    Role::Compute => true,
-                    Role::Select => false,
-                };
-                if accesses_mem {
-                    if let Some(addr) = e.f.info.mem_addr {
-                        if self.cfg.mem.store_forwarding
-                            && matches!(self.forward_state(idx), ForwardState::Forward)
-                        {
-                            // Full overlap with the youngest older
-                            // in-flight store: the value comes straight
-                            // from the store queue at L1-hit latency, no
-                            // cache access, no MSHR.
-                            self.stats.store_forwards += 1;
-                            return Some(1 + self.cfg.mem.l1d.latency);
-                        }
-                        if self.mem.realistic() {
-                            return match self.mem.data_access_nonblocking(
-                                addr, false, pc, self.cycle,
-                            ) {
-                                AccessOutcome::Ready(lat) => Some(1 + lat),
-                                AccessOutcome::Pending(fill) => {
-                                    Some(1 + fill.saturating_sub(self.cycle).max(1))
-                                }
-                                AccessOutcome::MshrFull => {
-                                    self.cyc_mshr_stalled = true;
-                                    self.stats.mshr_full_stalls += 1;
-                                    None
-                                }
-                                AccessOutcome::PortBusy => {
-                                    self.stats.port_conflict_stalls += 1;
-                                    None
-                                }
-                            };
-                        }
-                        return Some(1 + self.mem.data_access_at(addr, false, self.cycle));
-                    }
-                }
-                Some(1)
-            }
-            InsnKind::Store { .. } => {
-                if guard_true && role != Role::Select {
-                    if let Some(addr) = e.f.info.mem_addr {
-                        if self.mem.realistic() {
-                            // Write-allocate: the store needs an MSHR on a
-                            // miss like a load, plus (when enabled) a free
-                            // write-buffer entry to drain through. Once
-                            // accepted it completes in one cycle — the
-                            // drain continues asynchronously behind it.
-                            match self.mem.store_access_nonblocking(addr, pc, self.cycle) {
-                                StoreOutcome::Accepted => {}
-                                StoreOutcome::WriteBufFull => {
-                                    self.cyc_writebuf_stalled = true;
-                                    self.stats.writebuf_full_stalls += 1;
-                                    return None;
-                                }
-                                StoreOutcome::MshrFull => {
-                                    self.cyc_mshr_stalled = true;
-                                    self.stats.mshr_full_stalls += 1;
-                                    return None;
-                                }
-                                StoreOutcome::PortBusy => {
-                                    self.stats.port_conflict_stalls += 1;
-                                    return None;
-                                }
-                            }
-                        } else {
-                            self.mem.data_access_at(addr, true, self.cycle);
-                        }
-                    }
-                }
-                Some(1)
-            }
-            _ => Some(1),
-        }
-    }
-
-    /// Store-to-load-forwarding verdict for the load at `idx`: scan older
-    /// in-flight stores youngest-first; the first one whose 8-byte window
-    /// overlaps the load decides. Full overlap with ready store data
-    /// forwards; partial overlap (or full overlap with the store's data
-    /// not yet ready) conservatively waits.
-    fn forward_state(&self, idx: usize) -> ForwardState {
-        if !self.cfg.mem.store_forwarding {
-            return ForwardState::NoMatch;
-        }
-        let e = &self.rob[idx];
-        let accesses_mem = match e.role {
-            Role::Whole => e.f.info.guard_true,
-            Role::Compute => true,
-            Role::Select => false,
-        };
-        let Some(la) = e.f.info.mem_addr else {
-            return ForwardState::NoMatch;
-        };
-        if !accesses_mem {
-            return ForwardState::NoMatch;
-        }
-        let id = e.id;
-        let front_id = self.rob.front().expect("idx is live").id;
-        for &sid in self.store_queue.iter().rev() {
-            if sid >= id {
-                continue; // younger than the load
-            }
-            let s = &self.rob[(sid - front_id) as usize];
-            // Guard-false and select-placeholder stores write nothing.
-            if !s.f.info.guard_true || s.role == Role::Select {
-                continue;
-            }
-            let Some(sa) = s.f.info.mem_addr else { continue };
-            if sa == la {
-                if s.issued || s.unready == 0 {
-                    return ForwardState::Forward;
-                }
-                // Store data not ready yet: wait for it.
-                return ForwardState::NoMatch;
-            }
-            if sa < la + 8 && la < sa + 8 {
-                return ForwardState::PartialOverlap;
-            }
-        }
-        ForwardState::NoMatch
-    }
-
-    // ----------------------------------------------------------- dispatch
-
-    fn dispatch(&mut self) {
-        let mut dispatched = 0;
-        while dispatched < self.cfg.issue_width {
-            let Some(front) = self.fe_queue.front() else { break };
-            if front.fetch_cycle + self.cfg.pipeline_depth > self.cycle {
-                break;
-            }
-            let needed = self.rob_slots_needed(front);
-            if self.rob.len() + needed > self.cfg.rob_size {
-                break;
-            }
-            let f = self.fe_queue.pop_front().expect("checked non-empty");
-            self.rename_into_rob(f);
-            dispatched += needed;
-        }
-    }
-
-    fn rob_slots_needed(&self, f: &FetchedUop) -> usize {
-        if self.cfg.pred_mechanism == PredMechanism::SelectUop
-            && f.guard_pred_elim.is_none()
-            && self.decoded.pcs[f.pc as usize].select_expandable
-        {
-            2
-        } else {
-            1
-        }
-    }
-
-    /// Pushes one ROB entry whose dependences are in `dep_scratch`:
-    /// registers it as a waiter on each not-yet-ready producer (duplicates
-    /// register — and later decrement — once each, so no dedup is needed)
-    /// and enrolls it in the scheduling lists it belongs to.
-    fn push_rob(&mut self, f: FetchedUop, role: Role) -> u64 {
-        if self.trace.is_some() {
-            self.trace_event(crate::trace::TraceKind::Dispatch, f.seq, f.pc, &f.insn, 0);
-        }
-        let id = self.next_rob_id;
-        self.next_rob_id += 1;
-        let mut unready = 0u32;
-        let front_id = self.rob.front().map(|e| e.id);
-        let scratch = std::mem::take(&mut self.dep_scratch);
-        for &d in &scratch {
-            let Some(fid) = front_id else {
-                continue; // empty window: every producer retired
-            };
-            if d < fid {
-                continue; // producer retired
-            }
-            let idx = (d - fid) as usize;
-            let value_ready = match self.rob.get(idx) {
-                Some(p) => p.done && p.ready_cycle <= self.cycle,
-                None => true,
-            };
-            if value_ready {
-                continue;
-            }
-            let p = &mut self.rob[idx];
-            if p.waiters.will_spill() && p.waiters.spill.capacity() == 0 {
-                if let Some(v) = self.waiter_pool.pop() {
-                    p.waiters.spill = v;
-                }
-            }
-            p.waiters.push(id);
-            unready += 1;
-        }
-        self.dep_scratch = scratch;
-        let is_store = matches!(f.insn.kind, InsnKind::Store { .. });
-        let unresolved = role == Role::Whole && (f.insn.is_branch() || f.pred_check.is_some());
-        self.rob.push_back(RobEntry {
-            id,
-            f,
-            role,
-            unready,
-            waiters: WaiterList::default(),
-            issued: false,
-            done: false,
-            ready_cycle: 0,
-            resolved: false,
-            loop_class: None,
-            mispredicted: false,
-        });
-        if unready == 0 {
-            self.ready.push(Reverse(id));
-        }
-        if is_store {
-            self.store_queue.push_back(id);
-        }
-        if unresolved {
-            self.unresolved.push(id);
-        }
-        id
-    }
-
-    fn guard_dep(&self, f: &FetchedUop, oracles: &OracleConfig) -> GuardPlan {
-        let Some(g) = f.insn.guard else {
-            return GuardPlan::None;
-        };
-        if oracles.no_pred_dependencies {
-            return GuardPlan::Known(f.info.guard_true);
-        }
-        if let Some(v) = f.guard_pred_elim {
-            return GuardPlan::Known(v);
-        }
-        match self.pred_prod[g.index()] {
-            Some(id) => {
-                // Predicate-prediction baseline: if the producer's value was
-                // predicted at fetch, consumers run with the predicted value
-                // instead of waiting (verified at the producer's execution).
-                if self.cfg.predicate_prediction {
-                    if let Some(front) = self.rob.front() {
-                        if id >= front.id {
-                            let idx = (id - front.id) as usize;
-                            assert!(idx < self.rob.len(), "producer id {id} front {} len {}", front.id, self.rob.len());
-                            let p = &self.rob[idx];
-                            if let Some(predicted) = p.f.pred_check {
-                                let defs = self.decoded.pcs[p.f.pc as usize].def_preds;
-                                if defs[0] == Some(g) {
-                                    return GuardPlan::Known(predicted);
-                                }
-                                if defs[1] == Some(g) {
-                                    return GuardPlan::Known(!predicted);
-                                }
-                            }
-                        }
-                    }
-                }
-                GuardPlan::Wait(id)
-            }
-            None => GuardPlan::Ready,
-        }
-    }
-
-    /// Appends the data-source dependences (registers + predicate sources)
-    /// to `dep_scratch`.
-    fn push_src_deps(&mut self, info: &PcInfo, oracles: &OracleConfig) {
-        for r in info.gpr_srcs.into_iter().flatten() {
-            if let Some(id) = self.gpr_prod[r.index()] {
-                self.dep_scratch.push(id);
-            }
-        }
-        for p in info.pred_srcs.into_iter().flatten() {
-            // §3.5.3: the elimination buffer satisfies predicate *data*
-            // sources of non-branch µops too (e.g. the re-ANDing `pand`s in
-            // predicated arms) — but never a branch's own condition, which
-            // must still be verified.
-            let eliminated = !info.is_branch
-                && self.pred_elim_active()
-                && self.pred_elim[p.index()].is_some();
-            if oracles.no_pred_dependencies && !info.is_branch {
-                continue;
-            }
-            if eliminated {
-                continue;
-            }
-            if let Some(id) = self.pred_prod[p.index()] {
-                self.dep_scratch.push(id);
-            }
-        }
-    }
-
-    /// Appends the old-destination dependences (C-style reads the old
-    /// value) to `dep_scratch`.
-    fn push_old_dest_deps(&mut self, info: &PcInfo) {
-        if let Some(d) = info.def_gpr {
-            if let Some(id) = self.gpr_prod[d.index()] {
-                self.dep_scratch.push(id);
-            }
-        }
-        for p in info.def_preds.into_iter().flatten() {
-            if let Some(id) = self.pred_prod[p.index()] {
-                self.dep_scratch.push(id);
-            }
-        }
-    }
-
-    fn rename_into_rob(&mut self, f: FetchedUop) {
-        let oracles = self.cfg.oracles;
-        let info = self.decoded.pcs[f.pc as usize];
-        let select_expand = self.rob_slots_needed(&f) == 2;
-        let guard = self.guard_dep(&f, &oracles);
-        // Old-destination reads exist only for guarded µops outside the
-        // NO-PRED-DEP oracle (the historical outer gate on that list).
-        let wants_old_dest =
-            (f.insn.guard.is_some() || f.hw_guard.is_some()) && !oracles.no_pred_dependencies;
-
-        // A µop whose guard is *known* false at rename (oracle knob or the
-        // §3.5.3 elimination buffer) is a pure NOP: it must not become the
-        // rename-map producer of its destinations, or consumers would see
-        // the old value re-timestamped as fresh (breaking — or worse,
-        // artificially shortening — accumulator dependence chains).
-        let known_false = matches!(guard, GuardPlan::Known(false));
-        let update_maps = |sim: &mut Self, id: u64| {
-            if known_false {
-                return;
-            }
-            if let Some(d) = info.def_gpr {
-                sim.gpr_prod[d.index()] = Some(id);
-            }
-            for p in info.def_preds.into_iter().flatten() {
-                if !p.is_hardwired_true() {
-                    sim.pred_prod[p.index()] = Some(id);
-                }
-            }
-        };
-
-        if select_expand {
-            // Compute part: sources only, no guard, no old destination.
-            self.dep_scratch.clear();
-            self.push_src_deps(&info, &oracles);
-            let compute_id = self.push_rob(f, Role::Compute);
-            // Select part: compute result + guard + old destination.
-            self.dep_scratch.clear();
-            self.dep_scratch.push(compute_id);
-            match guard {
-                GuardPlan::Wait(id) => self.dep_scratch.push(id),
-                GuardPlan::None | GuardPlan::Ready | GuardPlan::Known(_) => {}
-            }
-            if wants_old_dest {
-                self.push_old_dest_deps(&info);
-            }
-            let select_id = self.push_rob(f, Role::Select);
-            update_maps(self, select_id);
-            return;
-        }
-
-        // C-style single µop (or a non-expandable guarded store/branch).
-        self.dep_scratch.clear();
-        // Hardware-injected (DHP) guard dependence.
-        if let Some((p, _)) = f.hw_guard {
-            if !oracles.no_pred_dependencies {
-                if let Some(id) = self.pred_prod[p.index()] {
-                    self.dep_scratch.push(id);
-                }
-            }
-        }
-        match guard {
-            GuardPlan::Wait(id) => {
-                self.dep_scratch.push(id);
-                self.push_src_deps(&info, &oracles);
-                if wants_old_dest {
-                    self.push_old_dest_deps(&info);
-                }
-            }
-            GuardPlan::Known(true) => self.push_src_deps(&info, &oracles),
-            GuardPlan::Known(false) => {
-                if wants_old_dest {
-                    self.push_old_dest_deps(&info);
-                }
-            }
-            GuardPlan::None | GuardPlan::Ready => {
-                self.push_src_deps(&info, &oracles);
-                if wants_old_dest {
-                    self.push_old_dest_deps(&info);
-                }
-            }
-        }
-        let id = self.push_rob(f, Role::Whole);
-        update_maps(self, id);
-    }
-
-    fn pred_elim_active(&self) -> bool {
-        matches!(self.mode, Mode::HighConf) && self.pred_elim_live > 0
-    }
-
-    fn pred_elim_insert(&mut self, index: usize, value: bool) {
-        if self.pred_elim[index].is_none() {
-            self.pred_elim_live += 1;
-        }
-        self.pred_elim[index] = Some(value);
-    }
-
-    // -------------------------------------------------------------- fetch
-
-    fn fetch(&mut self) {
-        if self.fetch_blocked || self.cycle < self.fetch_stall_until {
-            return;
-        }
-        let queue_cap = self.fetch_queue_cap;
-        let mut budget = self.cfg.fetch_width;
-        let mut cond_budget = self.cfg.max_cond_branches_per_cycle;
-        while budget > 0 && self.fe_queue.len() < queue_cap {
-            // Mode exit on reaching the low-confidence region's join target.
-            if let Mode::LowConf {
-                exit_target: Some(t),
-                ..
-            } = self.mode
-            {
-                if self.fetch_pc == t {
-                    self.mode = Mode::Normal;
-                }
-            }
-            let Some(info) = self.decoded.pcs.get(self.fetch_pc as usize) else {
-                // Wrong-path fetch escaped the image; wait for the flush.
-                self.fetch_blocked = true;
-                return;
-            };
-            let insn = info.insn;
-            let line = info.line;
-            let is_cond_branch = info.is_cond_branch;
-            let is_halt = info.is_halt;
-            // I-cache.
-            if !fetch_line_gate(
-                &mut self.mem,
-                &mut self.fetch_line,
-                &mut self.fetch_stall_until,
-                &mut self.fetch_stall_reason,
-                self.cfg.mem.icache.latency,
-                self.fetch_pc,
-                line,
-                self.cycle,
-            ) {
-                return;
-            }
-
-            let pc = self.fetch_pc;
-            // Dynamic hammock predication: advance the guard-injection
-            // state machine before fetching this µop.
-            match self.dhp {
-                DhpState::GuardFall {
-                    pred,
-                    negated,
-                    cond,
-                    until,
-                    then,
-                } => {
-                    if pc >= until {
-                        match then {
-                            Some((taken_start, taken_until, skip_to)) => {
-                                // Redirect into the taken arm under the
-                                // complement guard.
-                                self.fetch_pc = taken_start;
-                                self.dhp = DhpState::GuardTaken {
-                                    pred,
-                                    negated: !negated,
-                                    cond,
-                                    until: taken_until,
-                                    skip_to,
-                                };
-                                continue;
-                            }
-                            None => self.dhp = DhpState::Off,
-                        }
-                    }
-                }
-                DhpState::GuardTaken { until, skip_to, .. } => {
-                    if pc >= until {
-                        self.dhp = DhpState::Off;
-                        if let Some(j) = skip_to {
-                            // Hardware squashes the arm's trailing jump and
-                            // resumes at the join.
-                            self.fetch_pc = j;
-                            continue;
-                        }
-                    }
-                }
-                DhpState::Off => {}
-            }
-            if is_cond_branch {
-                if cond_budget == 0 {
-                    return; // next cycle
-                }
-                cond_budget -= 1;
-            }
-            let fetched = self.fetch_one(pc, insn);
-            budget -= 1;
-            let taken_redirect = fetched.info.followed_next != pc + 1;
-            self.fetch_pc = fetched.info.followed_next;
-
-            // NO-FETCH oracle: guard-false µops vanish before taking any
-            // bandwidth (they also don't count against the fetch budget).
-            let skip = self.cfg.oracles.no_false_predicate_fetch
-                && !fetched.info.guard_true
-                && insn.guard.is_some()
-                && !insn.is_branch();
-            if skip {
-                budget += 1;
-                self.stats.fetched_uops += 1;
-                continue;
-            }
-            self.stats.fetched_uops += 1;
-            self.fe_queue.push_back(fetched);
-
-            if is_halt {
-                self.fetch_blocked = true;
-                return;
-            }
-            if taken_redirect {
-                // Fetch ends at the first taken branch (Table 2).
-                return;
-            }
-        }
-    }
-
-    /// Processes one µop at fetch: predictions, wish-branch mode logic,
-    /// speculative emulation, front-end table updates.
-    fn fetch_one(&mut self, pc: u32, insn: Insn) -> FetchedUop {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-
-        // Predicate-dependency elimination lookup (before this µop's own
-        // writes invalidate entries).
-        let guard_pred_elim = match insn.guard {
-            Some(g) if self.pred_elim_active() && !insn.is_branch() => self.pred_elim[g.index()],
-            _ => None,
-        };
-
-        #[allow(unused_mut)]
-        let mut br_meta: Option<BrMeta> = None;
-        let mut forced_next: Option<u32> = None;
-
-        if let InsnKind::Branch { kind, target } = insn.kind {
-            let ghr_checkpoint = self.bp.ghr();
-            let fetch_mode = self.mode;
-            let mut meta = BrMeta {
-                predicted_taken: false,
-                predicted_next: pc + 1,
-                bp_token: None,
-                predictor_said_taken: false,
-                ghr_checkpoint,
-                conf_ghr: ghr_checkpoint,
-                ras_checkpoint: self.ras.checkpoint(),
-                conf_high: None,
-                fetch_mode,
-                loop_token: None,
-                dhp: false,
-            };
-            match kind {
-                BranchKind::Cond { .. } => {
-                    let (dir, token) = self.predict_cond(pc, &insn, &mut meta);
-                    meta.predicted_taken = dir;
-                    meta.bp_token = token;
-                    meta.predicted_next = if dir { target } else { pc + 1 };
-                    self.bp.on_fetch_branch(dir);
-                    self.btb_note(pc, BtbKind::Cond, target, insn.wish, dir);
-                }
-                BranchKind::Uncond => {
-                    meta.predicted_taken = true;
-                    meta.predicted_next = target;
-                    self.btb_note(pc, BtbKind::Uncond, target, None, true);
-                }
-                BranchKind::Call => {
-                    meta.predicted_taken = true;
-                    meta.predicted_next = target;
-                    self.ras.push(pc + 1);
-                    meta.ras_checkpoint = self.ras.checkpoint();
-                    self.btb_note(pc, BtbKind::Call, target, None, true);
-                }
-                BranchKind::Ret => {
-                    let predicted = self
-                        .ras
-                        .pop()
-                        .or_else(|| self.itc.predict(pc, self.bp.ghr()))
-                        .unwrap_or(0);
-                    meta.predicted_taken = true;
-                    meta.predicted_next = predicted;
-                    meta.ras_checkpoint = self.ras.checkpoint();
-                    self.btb_note(pc, BtbKind::Ret, predicted, None, true);
-                }
-                BranchKind::Indirect { .. } => {
-                    let predicted = self.itc.predict(pc, self.bp.ghr()).unwrap_or(pc + 1);
-                    meta.predicted_taken = true;
-                    meta.predicted_next = predicted;
-                    self.btb_note(pc, BtbKind::Indirect, predicted, None, true);
-                }
-            }
-            if self.cfg.oracles.perfect_branch_prediction {
-                // PERFECT-CBP: override everything with the oracle.
-                let actual = self.emu.peek_cond(&insn);
-                match kind {
-                    BranchKind::Cond { .. } => {
-                        let t = actual.expect("cond branch peeks");
-                        meta.predicted_taken = t;
-                        meta.predicted_next = if t { target } else { pc + 1 };
-                        meta.bp_token = None;
-                        meta.conf_high = None;
-                    }
-                    _ => {
-                        // Target oracles for ret/indirect.
-                        meta.predicted_next = self.peek_target(&insn, pc);
-                    }
-                }
-            }
-            forced_next = Some(meta.predicted_next);
-            br_meta = Some(meta);
-        }
-
-        // DHP: non-control µops inside an active region carry the injected
-        // guard (register for dependence tracking, captured value for the
-        // architectural decision).
-        let (hw_guard, hw_guard_ok) = if insn.is_branch() {
-            (None, None)
-        } else {
-            match self.dhp {
-                DhpState::GuardFall {
-                    pred,
-                    negated,
-                    cond,
-                    ..
-                }
-                | DhpState::GuardTaken {
-                    pred,
-                    negated,
-                    cond,
-                    ..
-                } => (Some((pred, negated)), Some(cond ^ negated)),
-                DhpState::Off => (None, None),
-            }
-        };
-        // Predicate prediction (Chuang & Calder baseline): predict the
-        // value every predicate-defining µop will produce, and checkpoint
-        // for the flush its verification may trigger.
-        let mut pred_check = None;
-        if self.cfg.predicate_prediction
-            && self.decoded.pcs[pc as usize].defines_pred
-            && br_meta.is_none()
-        {
-            let counter = self.pred_value_pht[pc as usize];
-            pred_check = Some(counter >= 2);
-            br_meta = Some(BrMeta {
-                predicted_taken: false,
-                predicted_next: pc + 1,
-                bp_token: None,
-                predictor_said_taken: false,
-                ghr_checkpoint: self.bp.ghr(),
-                conf_ghr: self.conf_history,
-                ras_checkpoint: self.ras.checkpoint(),
-                conf_high: None,
-                fetch_mode: self.mode,
-                loop_token: None,
-                dhp: false,
-            });
-        }
-
-        let info = self.emu.exec(seq, pc, &insn, forced_next, hw_guard_ok);
-
-        // Front-end table maintenance after the µop is "decoded".
-        self.note_pred_writes(pc);
-
-        if self.trace.is_some() {
-            self.trace_event(crate::trace::TraceKind::Fetch, seq, pc, &insn, 0);
-        }
-        FetchedUop {
-            seq,
-            pc,
-            insn,
-            info,
-            fetch_cycle: self.cycle,
-            br: br_meta,
-            guard_pred_elim,
-            hw_guard,
-            pred_check,
-        }
-    }
-
-    /// Oracle target of a control µop (for PERFECT-CBP on ret/indirect).
-    fn peek_target(&self, insn: &Insn, pc: u32) -> u32 {
-        match insn.kind {
-            InsnKind::Branch { kind, target } => match kind {
-                BranchKind::Ret => self.emu.regs[Gpr::LINK.index()] as u32,
-                BranchKind::Indirect { target: r } => self.emu.regs[r.index()] as u32,
-                _ => target,
-            },
-            _ => pc + 1,
-        }
-    }
-
-    /// Direction prediction for a conditional branch, including all wish
-    /// branch mode logic (§3.1, §3.2, Table 1, Fig. 8).
-    fn predict_cond(
-        &mut self,
-        pc: u32,
-        insn: &Insn,
-        meta: &mut BrMeta,
-    ) -> (bool, Option<HybridToken>) {
-        let (mut bp_dir, token) = self.bp.predict(pc);
-        meta.predictor_said_taken = bp_dir;
-        meta.conf_ghr = self.conf_history;
-        let wish = insn.wish.filter(|_| self.cfg.wish_enabled);
-        let Some(wtype) = wish else {
-            // Dynamic hammock predication for plain conditional branches:
-            // on a low-confidence prediction of an eligible hammock, force
-            // not-taken, inject guards, and never flush.
-            if self.cfg.dhp_enabled && self.dhp == DhpState::Off {
-                if let Some(plan) = self.dhp_region(pc) {
-                    let low = if self.cfg.oracles.perfect_confidence {
-                        let actual = self.emu.peek_cond(insn).expect("cond branch");
-                        bp_dir != actual
-                    } else {
-                        !self.jrs.estimate(pc, self.conf_history).is_high()
-                    };
-                    meta.conf_high = Some(!low);
-                    if low {
-                        meta.dhp = true;
-                        self.dhp = plan;
-                        self.stats.dhp_predications += 1;
-                        return (false, Some(token));
-                    }
-                }
-            }
-            return (bp_dir, Some(token));
-        };
-        // Specialized wish-loop predictor (§3.2 extension): overrides the
-        // hybrid's direction when it has a confident trip prediction.
-        if wtype == WishType::Loop {
-            if let Some(lp) = self.loop_pred.as_mut() {
-                let (pred, ltok) = lp.fetch_predict(pc);
-                meta.loop_token = Some(ltok);
-                if let Some(dir) = pred {
-                    bp_dir = dir;
-                    meta.predictor_said_taken = dir;
-                }
-            }
-        }
-
-        // Track the front-end last-prediction buffer for wish loops before
-        // the direction is finalized below.
-        let mut final_dir = bp_dir;
-
-        match self.mode {
-            Mode::LowConf {
-                exit_target,
-                loop_pc,
-            } => {
-                match wtype {
-                    WishType::Jump | WishType::Join => {
-                        // Fig. 8 has no LowConf→HighConf edge: while in
-                        // low-confidence mode every wish jump/join is
-                        // forced not-taken (Table 1).
-                        final_dir = false;
-                        meta.conf_high = Some(false);
-                        // A jump fetched in low-conf mode starts its own
-                        // region; keep the earlier exit target if any,
-                        // otherwise adopt this branch's.
-                        if exit_target.is_none() {
-                            if let Some(t) = insn.direct_target() {
-                                self.mode = Mode::LowConf {
-                                    exit_target: Some(t),
-                                    loop_pc,
-                                };
-                            }
-                        }
-                    }
-                    WishType::Loop => {
-                        // Predicate not predicted; direction still comes
-                        // from the predictor. The "wish loop is exited"
-                        // mode edge is applied uniformly below.
-                        meta.conf_high = Some(false);
-                    }
-                }
-                // The branch operates under low-confidence mode (§3.5.4:
-                // recovery checks the mode the branch was fetched *under*).
-                meta.fetch_mode = Mode::LowConf {
-                    exit_target,
-                    loop_pc,
-                };
-            }
-            Mode::Normal | Mode::HighConf => {
-                let high = if self.cfg.oracles.perfect_confidence {
-                    let actual = self.emu.peek_cond(insn).expect("cond branch");
-                    bp_dir == actual
-                } else {
-                    self.jrs.estimate(pc, meta.conf_ghr).is_high()
-                };
-                meta.conf_high = Some(high);
-                if high {
-                    self.mode = Mode::HighConf;
-                    self.install_pred_elim(insn, bp_dir);
-                } else {
-                    match wtype {
-                        WishType::Jump | WishType::Join => {
-                            final_dir = false;
-                            self.mode = Mode::LowConf {
-                                exit_target: insn.direct_target(),
-                                loop_pc: None,
-                            };
-                        }
-                        WishType::Loop => {
-                            self.mode = Mode::LowConf {
-                                exit_target: None,
-                                loop_pc: Some(pc),
-                            };
-                        }
-                    }
-                }
-                // A branch that causes a mode transition operates under the
-                // mode it causes: a low-confidence estimate means this very
-                // branch is executed in predicated fashion and must not
-                // flush (§3.1).
-                meta.fetch_mode = self.mode;
-            }
-        }
-        if wtype == WishType::Loop {
-            self.loop_last_pred[pc as usize] = Some((final_dir, self.next_seq - 1));
-            // Fig. 8's "wish loop is exited": a not-taken prediction ends
-            // this loop's mode no matter when it arrives — including a
-            // *first* prediction that is already not-taken (a predicted
-            // zero-trip loop, whose body is never fetched). The branch
-            // itself still recovers under the mode it was fetched in
-            // (`meta.fetch_mode`).
-            if !final_dir {
-                match self.mode {
-                    Mode::HighConf => self.mode = Mode::Normal,
-                    Mode::LowConf {
-                        loop_pc: Some(lp), ..
-                    } if lp == pc => self.mode = Mode::Normal,
-                    _ => {}
-                }
-            }
-        }
-        (final_dir, Some(token))
-    }
-
-    /// Installs the §3.5.3 predicate prediction for a high-confidence wish
-    /// branch: the branch's own condition register gets the predicted
-    /// value, and (via the decode-time cmp2 pairing table) its complement
-    /// partner gets the inverse.
-    fn install_pred_elim(&mut self, insn: &Insn, predicted_dir: bool) {
-        let InsnKind::Branch {
-            kind: BranchKind::Cond { pred, sense },
-            ..
-        } = insn.kind
-        else {
-            return;
-        };
-        let value = if sense { predicted_dir } else { !predicted_dir };
-        self.pred_elim_insert(pred.index(), value);
-        if let Some(partner) = self.cmp2_partner[pred.index()] {
-            self.pred_elim_insert(partner as usize, !value);
-        }
-    }
-
-    /// Decode-time predicate bookkeeping: cmp2 pairings, and invalidation
-    /// of elimination-buffer entries when their register is redefined
-    /// (§3.5.3).
-    fn note_pred_writes(&mut self, pc: u32) {
-        let info = &self.decoded.pcs[pc as usize];
-        let def_preds = info.def_preds;
-        let is_cmp2 = info.is_cmp2;
-        if is_cmp2 {
-            let t = def_preds[0].expect("cmp2 defines two predicates").index();
-            let f = def_preds[1].expect("cmp2 defines two predicates").index();
-            self.cmp2_partner[t] = Some(f as u8);
-            self.cmp2_partner[f] = Some(t as u8);
-        }
-        for p in def_preds.into_iter().flatten() {
-            if self.pred_elim[p.index()].take().is_some() {
-                self.pred_elim_live -= 1;
-            }
-            if !is_cmp2 {
-                self.cmp2_partner[p.index()] = None;
-            }
-        }
-        if matches!(self.mode, Mode::HighConf) && self.pred_elim_live == 0 {
-            self.mode = Mode::Normal;
-        }
-    }
-
-    /// The DHP guard-injection state for the conditional branch at `pc`,
-    /// if it guards an eligible hammock: the static plan comes from the
-    /// pre-decoded table, the condition register's architectural value is
-    /// captured now — the guarded arms may redefine the register itself.
-    fn dhp_region(&self, pc: u32) -> Option<DhpState> {
-        let plan = self.decoded.dhp_plans[pc as usize]?;
-        Some(DhpState::GuardFall {
-            pred: plan.pred,
-            negated: plan.negated,
-            cond: self.emu.preds[plan.pred.index()],
-            until: plan.until,
-            then: plan.then,
-        })
-    }
-
-    fn btb_note(
-        &mut self,
-        pc: u32,
-        kind: BtbKind,
-        target: u32,
-        wish: Option<WishType>,
-        redirects: bool,
-    ) {
-        let hit = self.btb.lookup(pc).is_some();
-        if !hit {
-            self.btb.install(pc, BtbEntry { target, kind, wish });
-            if redirects {
-                // Target only known after decode: charge a fetch bubble.
-                self.fetch_stall_until = self.cycle + self.cfg.btb_miss_penalty;
-                self.fetch_stall_reason = StallReason::Redirect;
+        match self.lane.advance(u64::MAX) {
+            LaneStatus::Halted => Ok(self.lane.finish()),
+            LaneStatus::Limit(e) => Err(e),
+            LaneStatus::Running => {
+                unreachable!("an unbounded round ends at halt or the cycle limit")
             }
         }
     }
@@ -2234,9 +319,9 @@ pub(crate) enum StallReason {
     Redirect,
 }
 
-/// Shared fetch-stage I-cache gate used by both the scalar and the batched
-/// core: given the line the next µop lives on, decide whether fetch can
-/// proceed this cycle and arm the I-miss stall if not.
+/// The fetch stage's I-cache gate: given the line the next µop lives on,
+/// decide whether fetch can proceed this cycle and arm the I-miss stall
+/// if not.
 ///
 /// Under the flat model this is the legacy behaviour: access the I-cache,
 /// latch the line, and stall for the returned latency when it exceeds an
@@ -2295,7 +380,7 @@ pub(crate) fn fetch_line_gate(
 }
 
 /// Store-to-load-forwarding verdict for a ready load (see
-/// `Simulator::forward_state`).
+/// `Lane::forward_state`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ForwardState {
     /// Fully covered by the youngest older overlapping store whose data

@@ -1,13 +1,13 @@
-//! Pre-decoded per-PC program tables, shared between the scalar
-//! [`crate::Simulator`] and the batched [`crate::BatchSimulator`].
+//! Pre-decoded per-PC program tables, read by every lane of the
+//! out-of-order engine.
 //!
 //! Everything in a [`DecodedProgram`] is a pure function of the program
 //! text and the *decode-relevant* slice of the machine configuration
-//! (I-cache line size and the DHP knobs). The scalar simulator builds and
-//! owns one per run; the batch simulator builds one per distinct
-//! `(program, decode key)` pair and shares it read-only across all lanes
-//! of a batch — the "one shared pre-decoded µop cache" of the batched
-//! execution mode.
+//! (I-cache line size and the DHP knobs). [`crate::Simulator`] rebuilds
+//! one per run in recycled storage; [`crate::BatchSimulator`] builds one
+//! per distinct `(program, decode key)` pair and shares it read-only
+//! across all lanes of a batch — the "one shared pre-decoded µop cache"
+//! of the batched execution mode.
 
 use wishbranch_isa::{insn_addr, AluOp, BranchKind, Gpr, Insn, InsnKind, PredReg, Program, WishType};
 

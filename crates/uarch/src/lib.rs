@@ -21,6 +21,10 @@
 //!   §3.2 specialized biasable wish-loop predictor
 //!   ([`MachineConfig::wish_loop_predictor`]).
 //!
+//! There is one out-of-order engine. [`Simulator`] runs one job on a
+//! single lane of it; [`BatchSimulator`] runs N jobs as N lanes in
+//! lockstep, and each lane's result equals the job run alone.
+//!
 //! ## Methodology: speculative front-end emulator
 //!
 //! The simulator is execution-driven. A *speculative emulator* holds the

@@ -25,8 +25,8 @@
 //! `WISHBRANCH_WORKERS` → available parallelism; the fault plan resolves
 //! explicit `--fault-plan` → `WISHBRANCH_FAULT_PLAN` → none; the lockstep
 //! batch width resolves explicit `--batch` → `WISHBRANCH_BATCH` → 1
-//! (batching off). Batched lanes are bit-identical to scalar runs — the
-//! knob only changes throughput.
+//! (batching off). A batched lane is bit-identical to the same job run
+//! alone — the knob only changes throughput.
 //!
 //! Output modes:
 //!

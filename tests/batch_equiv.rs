@@ -1,121 +1,60 @@
-//! Batched-vs-scalar bit-equivalence: every lane of a
-//! [`BatchSimulator`] must produce a `SimResult` **equal** to the scalar
-//! [`Simulator`] run with the same program, machine configuration and
-//! input — stats, cycle accounting, hot sites, cache counters and final
-//! architectural state. The batch engine changes only the *layout* of
-//! in-flight state (slot arena, slim ROB, shared decode tables); any
-//! observable divergence is a bug.
+//! Lane-count invariance: a job simulated alone ([`Simulator`], one lane
+//! of the out-of-order engine) must produce a `SimResult` **equal** to the
+//! same job run at any position in a [`BatchSimulator`] of N lanes —
+//! stats, cycle accounting, hot sites, cache counters, final architectural
+//! state and the retired-instruction stream. Lanes share only the decoded
+//! program tables; any dependence on batch width, position or batchmates
+//! is a bug. ("Scalar" in the test names means that one-job `Simulator`.)
 //!
-//! The job matrix deliberately mixes benchmarks, binary variants, inputs
+//! What the engine computes is pinned separately: by the three golden
+//! lanes in `golden_figures.rs` (the third holds the answers of the
+//! retired scalar core over this suite's job draw) and by the lockstep
+//! oracle.
+//!
+//! The job draw deliberately mixes benchmarks, binary variants, inputs
 //! and machine configs — including hierarchy-on (`realistic`) and
 //! hierarchy-off `MemConfig`s inside one batch, which the lane engine must
 //! handle directly (the `SweepRunner` planner additionally splits such
 //! groups, but the engine itself cannot require it).
 
+mod support;
+
 use proptest::prelude::*;
+use support::{lane_stream, random_lane, straggler_jobs, LANE_SCALE};
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{compile_variant, ExperimentConfig};
-use wishbranch_isa::Program;
-use wishbranch_uarch::{
-    BatchLaneSpec, BatchSimulator, MachineConfig, PredMechanism, SimResult, Simulator,
-};
+use wishbranch_isa::{Program, RetireRecord};
+use wishbranch_uarch::{BatchLaneSpec, BatchSimulator, MachineConfig, SimResult, Simulator};
 use wishbranch_workloads::{suite, InputSet};
 
-const SCALE: i32 = 40;
-
-/// splitmix64: deterministic stream for the job matrix.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// One lane drawn from the stream: bench index, variant, input, machine.
-fn random_lane(st: &mut u64) -> (usize, BinaryVariant, InputSet, MachineConfig) {
-    let mut pick = |n: u64| splitmix64(st) % n;
-    let bench = pick(9) as usize;
-    let variant = [
-        BinaryVariant::NormalBranch,
-        BinaryVariant::BaseDef,
-        BinaryVariant::BaseMax,
-        BinaryVariant::WishJumpJoin,
-        BinaryVariant::WishJumpJoinLoop,
-    ][pick(5) as usize];
-    let input = [InputSet::A, InputSet::B, InputSet::C][pick(3) as usize];
-    let mut m = MachineConfig {
-        pipeline_depth: [5, 10, 30][pick(3) as usize],
-        rob_size: [32, 128, 512][pick(3) as usize],
-        ..MachineConfig::default()
-    };
-    if pick(2) == 0 {
-        m.pred_mechanism = PredMechanism::SelectUop;
-    }
-    match pick(5) {
-        0 => m.oracles.perfect_confidence = true,
-        1 => m.oracles.perfect_branch_prediction = true,
-        2 => m.oracles.no_pred_dependencies = true,
-        3 => {
-            m.oracles.no_pred_dependencies = true;
-            m.oracles.no_false_predicate_fetch = true;
-        }
-        _ => {}
-    }
-    if pick(4) == 0 {
-        m.dhp_enabled = true;
-    }
-    if pick(4) == 0 && !m.dhp_enabled {
-        m.predicate_prediction = true;
-    }
-    if pick(3) == 0 {
-        m.wish_loop_predictor = Some(Default::default());
-    }
-    // Mix memory models inside one batch: flat, flat+finite-MSHR queue,
-    // and the full non-blocking hierarchy with its I-side, write-buffer
-    // and port knobs rolled independently.
-    match pick(3) {
-        0 => {}
-        1 => m.mem.max_outstanding_misses = 2,
-        _ => {
-            m.mem.realistic = true;
-            if pick(2) == 0 {
-                m.mem.write_buffer_entries = [2, 4][pick(2) as usize];
-            }
-            if pick(2) == 0 {
-                m.mem.data_ports = [1, 2][pick(2) as usize];
-            }
-            if pick(2) == 0 {
-                m.mem.iprefetch = false;
-            }
-            if pick(3) == 0 {
-                m.mem.i_mshrs = 1;
-            }
-        }
-    }
-    (bench, variant, input, m)
-}
-
-/// Scalar reference run for one lane spec.
-fn scalar_run(program: &Program, cfg: &MachineConfig, preload: &[(u64, i64)]) -> SimResult {
+/// One job alone on a [`Simulator`], with its retired-instruction stream
+/// when `retire_log` asks for one (empty otherwise).
+fn solo_run(
+    program: &Program,
+    cfg: &MachineConfig,
+    preload: &[(u64, i64)],
+    retire_log: bool,
+) -> (SimResult, Vec<RetireRecord>) {
     let mut sim = Simulator::new(program, cfg.clone());
     for &(a, v) in preload {
         sim.preload_mem(a, v);
     }
-    sim.run().expect("scalar lane halts")
+    if retire_log {
+        sim.enable_retire_log();
+    }
+    let result = sim.run().expect("solo job halts");
+    (result, sim.take_retire_log())
 }
 
-/// Builds a batch of `lanes` lanes from the seeded stream and asserts
-/// every lane's result equals its scalar reference.
-fn check_batch(seed: u64, lanes: usize) {
-    let ec = ExperimentConfig::quick(SCALE);
-    let benches = suite(SCALE);
-    let mut st = 0xba7c_4_u64 ^ seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-
-    let mut jobs = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
-        jobs.push(random_lane(&mut st));
-    }
+/// Draws `lanes` jobs from `seed`'s stream and runs them as one batch in
+/// which only lane `target` collects its retire log. Every lane must
+/// equal its solo run; the target's retire log must equal its solo log,
+/// and the other lanes, which did not ask for one, must have none.
+fn check_invariance(seed: u64, lanes: usize, target: usize) {
+    let ec = ExperimentConfig::quick(LANE_SCALE);
+    let benches = suite(LANE_SCALE);
+    let mut st = lane_stream(seed);
+    let jobs: Vec<_> = (0..lanes).map(|_| random_lane(&mut st)).collect();
     // Compile each distinct (bench, variant) once: lanes sharing a program
     // must share one `&Program` so the batch decode cache can unify them.
     let mut bins: Vec<((usize, BinaryVariant), Program)> = Vec::new();
@@ -131,11 +70,12 @@ fn check_batch(seed: u64, lanes: usize) {
 
     let specs: Vec<BatchLaneSpec> = jobs
         .iter()
-        .map(|&(b, v, input, ref cfg)| BatchLaneSpec {
+        .enumerate()
+        .map(|(i, &(b, v, input, ref cfg))| BatchLaneSpec {
             program: lookup(b, v),
             cfg: cfg.clone(),
             preload_mem: (benches[b].input_fn)(input),
-            retire_log: false,
+            retire_log: i == target,
         })
         .collect();
     let mut batch = BatchSimulator::new(&specs);
@@ -143,112 +83,55 @@ fn check_batch(seed: u64, lanes: usize) {
     assert_eq!(results.len(), lanes);
 
     for (i, (&(b, v, input, ref cfg), got)) in jobs.iter().zip(&results).enumerate() {
-        let preload = (benches[b].input_fn)(input);
-        let want = scalar_run(lookup(b, v), cfg, &preload);
-        let got = got.as_ref().unwrap_or_else(|e| {
-            panic!("lane {i} ({:?} {v:?} {input}): batch lane failed: {e}", benches[b].name)
-        });
-        assert_eq!(
-            *got, want,
-            "lane {i} ({:?} {v:?} {input} cfg {cfg:?}): batched result diverged from scalar",
+        let what = format!(
+            "lane {i}/{lanes} ({:?} {v:?} {input} cfg {cfg:?})",
             benches[b].name
         );
+        let (want, want_log) = solo_run(
+            lookup(b, v),
+            cfg,
+            &(benches[b].input_fn)(input),
+            i == target,
+        );
+        let got = got
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: batch lane failed: {e}"));
+        assert_eq!(
+            *got, want,
+            "{what}: batched result differs from the job alone"
+        );
+        let log = batch.take_retire_log(i);
+        if i == target {
+            assert_eq!(log.len(), want_log.len(), "{what}: retire stream length");
+            for (k, (g, w)) in log.iter().zip(&want_log).enumerate() {
+                assert_eq!(g, w, "{what}: retire record {k} differs");
+            }
+        } else {
+            assert!(
+                log.is_empty(),
+                "{what}: lanes that didn't ask for a log must not pay for one"
+            );
+        }
     }
 }
 
-/// Exhaustive sweep over seeds × batch sizes (covers size-1 batches, odd
-/// sizes, and mixed-model compositions).
+/// Fixed seeds × batch sizes × log positions, from a one-lane batch up to
+/// eight lanes, with the logging lane at the front, middle and back.
 #[test]
 fn batched_lanes_are_bit_identical_to_scalar() {
-    for (seed, lanes) in [(0, 1), (1, 2), (2, 3), (3, 5), (4, 8)] {
-        check_batch(seed, lanes);
+    for (seed, lanes, target) in [(0, 1, 0), (1, 2, 1), (2, 3, 1), (3, 5, 0), (4, 8, 7)] {
+        check_invariance(seed, lanes, target);
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Property flavor: random seed, random batch size.
+    /// A job alone equals the same job at a random position in a batch of
+    /// N = 2..8, for the `SimResult` and the retire log alike.
     #[test]
-    fn sampled_batch_matches_scalar(seed in 0u64..1000, lanes in 1usize..9) {
-        check_batch(seed, lanes);
-    }
-}
-
-/// Focused I-miss equivalence: a code footprint spanning many cold
-/// I-cache lines, simulated under every I-side hierarchy configuration
-/// (non-blocking fetch, prefetch off, a starved 1-entry I-MSHR file, the
-/// full realistic preset) in one batch. Each lane must equal its scalar
-/// reference — including the `imiss_pending` accounting rows the
-/// fast-forward path bulk-applies — and the hierarchy lanes must actually
-/// exercise non-blocking I-fill stalls.
-#[test]
-fn imiss_heavy_lanes_are_bit_identical_to_scalar() {
-    use wishbranch_isa::{AluOp, CmpOp, Gpr, Insn, Operand, PredReg, ProgramBuilder};
-    let r = Gpr::new;
-    // Two passes over 2 KB of straight-line code: pass one cold-misses
-    // every line (with a mispredictable exit branch at the bottom), pass
-    // two hits — both models' I-paths get exercised, warm and cold.
-    let mut b = ProgramBuilder::new();
-    let top = b.label("top");
-    let done = b.label("done");
-    b.push(Insn::mov_imm(r(1), 0));
-    b.bind(top);
-    for _ in 0..512 {
-        b.push(Insn::alu(AluOp::Add, r(2), r(2), Operand::imm(1)));
-    }
-    b.push(Insn::alu(AluOp::Add, r(1), r(1), Operand::imm(1)));
-    b.push(Insn::cmp(CmpOp::Eq, PredReg::new(1), r(1), Operand::imm(2)));
-    b.push_cond_branch(PredReg::new(1), true, done, None);
-    b.push_branch_to(Insn::branch(wishbranch_isa::BranchKind::Uncond, 0), top);
-    b.bind(done);
-    b.push(Insn::halt());
-    let program = b.build();
-
-    let mut cfgs = Vec::new();
-    let mut m = MachineConfig::default();
-    m.mem.realistic = true;
-    cfgs.push(("nonblocking", m));
-    let mut m = MachineConfig::default();
-    m.mem.realistic = true;
-    m.mem.iprefetch = false;
-    cfgs.push(("no-iprefetch", m));
-    let mut m = MachineConfig::default();
-    m.mem.realistic = true;
-    m.mem.i_mshrs = 1;
-    cfgs.push(("tight-imshr", m));
-    let mut m = MachineConfig::default();
-    m.mem = wishbranch_mem::MemConfig::realistic_preset();
-    cfgs.push(("realistic-preset", m));
-    cfgs.push(("flat", MachineConfig::default()));
-
-    let specs: Vec<BatchLaneSpec> = cfgs
-        .iter()
-        .map(|(_, cfg)| BatchLaneSpec {
-            program: &program,
-            cfg: cfg.clone(),
-            preload_mem: Vec::new(),
-            retire_log: false,
-        })
-        .collect();
-    let mut batch = BatchSimulator::new(&specs);
-    let results = batch.run();
-    for ((name, cfg), got) in cfgs.iter().zip(&results) {
-        let want = scalar_run(&program, cfg, &[]);
-        if cfg.mem.realistic {
-            assert!(
-                want.stats.cycle_accounting.imiss_pending > 0,
-                "{name}: the footprint must produce non-blocking I-fill stalls: {:?}",
-                want.stats.cycle_accounting
-            );
-        } else {
-            assert_eq!(want.stats.cycle_accounting.imiss_pending, 0, "{name}");
-        }
-        assert_eq!(
-            got.as_ref().expect("lane halts"),
-            &want,
-            "{name}: batched result diverged from scalar"
-        );
+    fn sampled_batch_matches_scalar(seed in 0u64..1000, lanes in 2usize..9, pos in 0usize..8) {
+        check_invariance(seed, lanes, pos % lanes);
     }
 }
 
@@ -260,38 +143,21 @@ fn straggler_lane_stays_bit_identical() {
     // The trip count is baked into the program text, so the straggler is
     // the same benchmark compiled at 100× the scale — a second program in
     // the same batch (lanes need not share one).
-    let ec_short = ExperimentConfig::quick(SCALE);
-    let ec_long = ExperimentConfig::quick(SCALE * 100);
-    let benches_short = suite(SCALE);
-    let benches_long = suite(SCALE * 100);
-    let bench = 0;
-    let bin = compile_variant(&benches_short[bench], BinaryVariant::WishJumpJoin, &ec_short)
-        .expect("compile");
-    let bin_long = compile_variant(&benches_long[bench], BinaryVariant::WishJumpJoin, &ec_long)
-        .expect("compile long");
-    let cfg = MachineConfig::default();
-
-    let short_in = (benches_short[bench].input_fn)(InputSet::A);
-    let long_in = (benches_long[bench].input_fn)(InputSet::A);
+    let [short, long] = straggler_jobs();
     let mut specs = Vec::new();
-    for (program, preload) in [
-        (&bin.program, &short_in),
-        (&bin_long.program, &long_in),
-        (&bin.program, &short_in),
-        (&bin.program, &short_in),
-    ] {
+    for job in [&short, &long, &short, &short] {
         specs.push(BatchLaneSpec {
-            program,
-            cfg: cfg.clone(),
-            preload_mem: preload.clone(),
+            program: &job.program,
+            cfg: job.cfg.clone(),
+            preload_mem: job.preload.clone(),
             retire_log: false,
         });
     }
     let mut batch = BatchSimulator::new(&specs);
     let results = batch.run();
 
-    let want_short = scalar_run(&bin.program, &cfg, &short_in);
-    let want_long = scalar_run(&bin_long.program, &cfg, &long_in);
+    let (want_short, _) = solo_run(&short.program, &short.cfg, &short.preload, false);
+    let (want_long, _) = solo_run(&long.program, &long.cfg, &long.preload, false);
     assert!(
         want_long.stats.cycles >= want_short.stats.cycles * 20,
         "straggler must dominate: {} vs {}",
@@ -314,8 +180,8 @@ fn straggler_lane_stays_bit_identical() {
 /// cycle budget errors alone; its batchmates still produce exact results.
 #[test]
 fn faulting_lane_gaps_only_its_own_cell() {
-    let ec = ExperimentConfig::quick(SCALE);
-    let benches = suite(SCALE);
+    let ec = ExperimentConfig::quick(LANE_SCALE);
+    let benches = suite(LANE_SCALE);
     let bin = compile_variant(&benches[0], BinaryVariant::BaseDef, &ec).expect("compile");
     let good_cfg = MachineConfig::default();
     let starved_cfg = MachineConfig::default().with_max_cycles(8);
@@ -333,146 +199,46 @@ fn faulting_lane_gaps_only_its_own_cell() {
     let mut batch = BatchSimulator::new(&specs);
     let results = batch.run();
 
-    let want = scalar_run(&bin.program, &good_cfg, &preload);
+    let (want, _) = solo_run(&bin.program, &good_cfg, &preload, false);
     assert_eq!(results[0].as_ref().expect("lane 0 halts"), &want);
     assert!(results[1].is_err(), "starved lane must report its limit");
     assert_eq!(results[2].as_ref().expect("lane 2 halts"), &want);
 }
 
-/// The batched retire log (lockstep-oracle food) must equal the scalar
-/// engine's record for record.
+/// A lane's retire log (lockstep-oracle food) must equal the same job's
+/// log alone, record for record, while its batchmate pays for no log.
 #[test]
 fn batched_retire_log_matches_scalar() {
-    let ec = ExperimentConfig::quick(SCALE);
-    let benches = suite(SCALE);
+    let ec = ExperimentConfig::quick(LANE_SCALE);
+    let benches = suite(LANE_SCALE);
     let bin =
         compile_variant(&benches[2], BinaryVariant::WishJumpJoinLoop, &ec).expect("compile");
     let cfg = MachineConfig::default();
     let preload = (benches[2].input_fn)(InputSet::C);
 
-    let specs = vec![
-        BatchLaneSpec {
+    let specs: Vec<BatchLaneSpec> = [true, false]
+        .into_iter()
+        .map(|retire_log| BatchLaneSpec {
             program: &bin.program,
             cfg: cfg.clone(),
             preload_mem: preload.clone(),
-            retire_log: true,
-        },
-        BatchLaneSpec {
-            program: &bin.program,
-            cfg: cfg.clone(),
-            preload_mem: preload.clone(),
-            retire_log: false,
-        },
-    ];
+            retire_log,
+        })
+        .collect();
     let mut batch = BatchSimulator::new(&specs);
     let results = batch.run();
     let batched_log = batch.take_retire_log(0);
 
-    let mut scalar = Simulator::new(&bin.program, cfg.clone());
-    for &(a, v) in &preload {
-        scalar.preload_mem(a, v);
-    }
-    scalar.enable_retire_log();
-    let want = scalar.run().expect("halts");
-    let scalar_log = scalar.take_retire_log();
-
+    let (want, want_log) = solo_run(&bin.program, &cfg, &preload, true);
+    assert!(!want_log.is_empty(), "the solo run must collect a log");
     assert_eq!(results[0].as_ref().expect("halts"), &want);
-    assert_eq!(batched_log.len(), scalar_log.len(), "retire stream length");
-    for (i, (g, w)) in batched_log.iter().zip(&scalar_log).enumerate() {
+    assert_eq!(results[1].as_ref().expect("halts"), &want);
+    assert_eq!(batched_log.len(), want_log.len(), "retire stream length");
+    for (i, (g, w)) in batched_log.iter().zip(&want_log).enumerate() {
         assert_eq!(g, w, "retire record {i} diverged");
     }
     assert!(
         batch.take_retire_log(1).is_empty(),
         "lanes that didn't ask for a log must not pay for one"
-    );
-}
-
-/// Raw engine throughput probe (ignored; run in release):
-/// `cargo test --release --test batch_equiv raw_speedup -- --ignored --nocapture`
-/// Replays the fig10 job matrix (9 benches × 5 variants) scalar and
-/// batched-per-bench and prints the µops/s ratio.
-/// Process CPU seconds (utime + stime) from /proc/self/stat — immune to
-/// host steal time, which dwarfs the effect being measured on shared VMs.
-fn cpu_seconds() -> f64 {
-    let stat = std::fs::read_to_string("/proc/self/stat").expect("linux procfs");
-    // utime/stime are fields 14/15 (1-indexed); the comm field may contain
-    // spaces but is parenthesized, so split after the last closing paren.
-    let rest = stat.rsplit_once(')').map_or(stat.as_str(), |(_, r)| r);
-    let mut it = rest.split_ascii_whitespace();
-    let utime: f64 = it.nth(11).expect("utime").parse().expect("number");
-    let stime: f64 = it.next().expect("stime").parse().expect("number");
-    (utime + stime) / 100.0
-}
-
-#[test]
-#[ignore = "perf probe, run manually in release"]
-fn raw_speedup_probe() {
-    use std::time::Instant;
-    let scale = std::env::var("PROBE_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1000);
-    let ec = ExperimentConfig::paper(scale);
-    let benches = suite(scale);
-    // fig10 composition: per bench, NormalBranch + BASE-DEF + BASE-MAX +
-    // wish-jj under real and perfect confidence.
-    let variants = [
-        (BinaryVariant::NormalBranch, false),
-        (BinaryVariant::BaseDef, false),
-        (BinaryVariant::BaseMax, false),
-        (BinaryVariant::WishJumpJoin, false),
-        (BinaryVariant::WishJumpJoin, true),
-    ];
-    let mut groups = Vec::new();
-    for b in &benches {
-        let mut lanes = Vec::new();
-        for &(v, perf_conf) in &variants {
-            let bin = compile_variant(b, v, &ec).expect("compile");
-            let mut m = ec.machine.clone();
-            m.oracles.perfect_confidence = perf_conf;
-            lanes.push((bin.program, m, (b.input_fn)(ec.train_input)));
-        }
-        groups.push(lanes);
-    }
-
-    let t0 = Instant::now();
-    let c0 = cpu_seconds();
-    let mut scalar_uops = 0u64;
-    for lanes in &groups {
-        for (p, m, preload) in lanes {
-            let r = scalar_run(p, m, preload);
-            scalar_uops += r.stats.retired_uops;
-        }
-    }
-    let scalar_cpu = cpu_seconds() - c0;
-    let scalar_wall = t0.elapsed().as_secs_f64();
-
-    let t1 = Instant::now();
-    let c1 = cpu_seconds();
-    let mut batch_uops = 0u64;
-    for lanes in &groups {
-        let specs: Vec<BatchLaneSpec> = lanes
-            .iter()
-            .map(|(p, m, preload)| BatchLaneSpec {
-                program: p,
-                cfg: m.clone(),
-                preload_mem: preload.clone(),
-                retire_log: false,
-            })
-            .collect();
-        let mut batch = BatchSimulator::new(&specs);
-        for r in batch.run() {
-            batch_uops += r.expect("halts").stats.retired_uops;
-        }
-    }
-    let batch_cpu = cpu_seconds() - c1;
-    let batch_wall = t1.elapsed().as_secs_f64();
-    assert_eq!(scalar_uops, batch_uops, "same work both ways");
-    let s = scalar_uops as f64 / scalar_wall;
-    let b = batch_uops as f64 / batch_wall;
-    println!(
-        "scalar {s:.0} uops/s ({scalar_wall:.2}s) | batched {b:.0} uops/s ({batch_wall:.2}s) | ratio {:.2}x",
-        b / s
-    );
-    println!(
-        "cpu-time: scalar {scalar_cpu:.2}s | batched {batch_cpu:.2}s | ratio {:.2}x",
-        scalar_cpu / batch_cpu
     );
 }

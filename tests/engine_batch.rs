@@ -1,8 +1,9 @@
 //! Engine-level batching contract: a [`SweepRunner`] with a batch width
 //! above 1 groups compatible jobs into lockstep [`BatchSimulator`] lanes,
 //! and every observable output — `SimResult`s, compile reports, summary
-//! cache counters, failure isolation — is bit-identical to the scalar
-//! path. Batching is a throughput knob, never a semantics knob.
+//! cache counters, failure isolation — is bit-identical to the unbatched
+//! (width-1, one lane per job) run. Batching is a throughput knob, never
+//! a semantics knob.
 
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{ExperimentConfig, FaultKind, FaultPlan, SweepJob, SweepRunner};
@@ -65,7 +66,7 @@ fn batched_sweep_is_bit_identical_to_scalar() {
     }
 
     // The batch planner actually batched: 4 compile groups × 9 jobs at
-    // width 8 → four chunks of 8 plus four singletons on the scalar path.
+    // width 8 → four chunks of 8 plus four singletons simulated alone.
     let sb = batched_runner.summary();
     assert_eq!(sb.batch_size, 8);
     assert!(

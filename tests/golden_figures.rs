@@ -11,13 +11,16 @@
 //! compiler, simulator, or workloads — rerun the paper-scale sweep and
 //! update both this snapshot and EXPERIMENTS.md if the change is intended.
 
+mod support;
+
 use proptest::prelude::*;
+use support::{splitmix64, LaneJob};
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{
     compile_adaptive_variant, compile_variant, simulate, Experiment, ExperimentConfig, FigureData,
     Report, ReportData, SweepRunner,
 };
-use wishbranch_uarch::{MachineConfig, PredMechanism, SimResult};
+use wishbranch_uarch::{MachineConfig, PredMechanism, SimResult, Simulator};
 use wishbranch_workloads::{suite, InputSet};
 
 const SCALE: i32 = 150;
@@ -159,15 +162,6 @@ const RJ_GOLDEN: [u64; RJ_CASES as usize] = [
     0xf632_42a1_bb9c_e9df,
     0xf6f7_00b1_16e1_3774,
 ];
-
-/// splitmix64: the deterministic stream the job matrix is drawn from.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// FNV-1a-64 over a canonical byte serialization of a whole [`SimResult`]:
 /// every stats field in declaration order, the cycle-accounting rows, the
@@ -552,6 +546,199 @@ fn regenerate_random_job_goldens() {
     println!("const RJ_GOLDEN: [u64; RJ_CASES as usize] = [");
     for case in 0..RJ_CASES {
         println!("    {:#018x},", run_random_job(case));
+    }
+    println!("];");
+}
+
+// ---------------------------------------------------------------------------
+// Third golden lane: the out-of-order engine against the retired scalar core.
+//
+// The simulator once carried two copies of its pipeline: a scalar core
+// behind `Simulator` and the structure-of-arrays lane core behind
+// `BatchSimulator`, proven equal job by job. The scalar copy is gone and
+// `Simulator` is now a one-lane view of the lane engine, so that
+// comparison became a tautology. These fingerprints keep the scalar core's
+// answers instead: they were generated by it, before its deletion, over
+// the `support::random_lane` draw of 64 seeds (every mechanism, all three
+// memory models), the I-miss-heavy program under five I-side
+// configurations, and the two straggler programs. The engine must
+// reproduce every entry. `fingerprint_lane` hashes every `SimStats` field
+// plus the final architectural state.
+//
+// To regenerate after an *intended* timing change:
+//   cargo test --release --test golden_figures regenerate_lane_goldens -- --ignored --nocapture
+
+/// Seeds of the random-lane draw (the first lane of each seed's stream).
+const RL_SEEDS: u64 = 64;
+
+/// Entries: one per seed, one per I-miss configuration, two stragglers.
+const RL_CASES: usize = RL_SEEDS as usize + 5 + 2;
+
+/// `SimResult` fingerprints of the scalar core, one per lane job.
+const RL_GOLDEN: [u64; RL_CASES] = [
+    0xae65_c7b6_0335_38ce,
+    0xf86e_62f8_632d_5504,
+    0x3a8a_a011_dd64_e757,
+    0x43bd_369b_12e3_2b63,
+    0x01f6_e38c_dded_160b,
+    0x0a85_71ea_d0f8_d27b,
+    0x2a63_fe94_2c55_b413,
+    0xfbaf_3eab_8f92_f728,
+    0xb2f3_580e_407d_a00c,
+    0xd3f0_7fa9_c343_9248,
+    0x37b8_2aa9_6c24_a82f,
+    0x8681_d95a_7fb7_ac4b,
+    0xd9eb_b036_3aee_2678,
+    0x0724_ab24_4f1d_48ac,
+    0x0330_7fb2_f1b4_7ae7,
+    0xb3e6_07aa_2e03_01bf,
+    0x2c17_e80f_673a_60ed,
+    0xb7ae_6cd7_cc18_c1db,
+    0x4e2d_991c_0880_128e,
+    0x2d3c_430e_f424_87d8,
+    0x0d7e_f8d9_d8ea_5c79,
+    0xb1a5_8674_ef1c_3e76,
+    0xea47_eaa6_8019_288a,
+    0x6b04_6c19_66ea_559b,
+    0xa59d_570c_537d_1a5d,
+    0x4aab_9b74_c817_369e,
+    0xd8bb_7a91_03a2_e9c6,
+    0x08ca_97b5_883e_95bd,
+    0xa40f_bf0b_2274_ab9e,
+    0x9ab9_e5f0_7261_732b,
+    0x2370_5dc6_8711_9a95,
+    0xf81c_78ca_2cc0_c99a,
+    0x0b39_558f_26dd_d301,
+    0xa6d0_bc13_8723_e425,
+    0x15cf_f5d8_97a3_2679,
+    0x0d26_6b45_ebd8_4c9c,
+    0x3a38_e168_02fb_8f08,
+    0xefe8_61b0_f036_12b5,
+    0x011b_5693_c987_0b42,
+    0x8efd_fdc1_2715_4c6e,
+    0x1cd6_8144_6233_3632,
+    0x4a3f_8af7_613c_6650,
+    0x6684_6cde_5e4b_bdec,
+    0x5e96_e3e8_5a62_a855,
+    0xb753_dc4c_a94c_c82d,
+    0x8720_21fd_7ffb_283f,
+    0x9318_3940_46cd_ab5e,
+    0x9eb4_8135_1df6_964a,
+    0x69d7_81d8_7ebb_80a6,
+    0x9068_16a1_b81d_6193,
+    0xcdc3_5985_7dfc_fefe,
+    0x1ff0_cf40_6b17_87ca,
+    0x0c12_bce1_2e78_22d2,
+    0x2f69_d1fb_861c_8942,
+    0x50fa_fd9e_de20_d6c2,
+    0x1de1_8896_7dd6_4194,
+    0x483a_ed82_6aa0_80e8,
+    0x555d_66f5_e231_3173,
+    0x5ce6_dbf7_57f3_13b0,
+    0x349e_a51d_48fa_3d9b,
+    0x7068_b977_c953_96f4,
+    0x5106_8753_f79b_4453,
+    0x74b8_b9ca_9e69_d2e2,
+    0x39cb_f5ba_71f4_ab7c,
+    0x7628_a7fd_988b_73d0,
+    0x067b_6ce4_990d_1ed7,
+    0xa5d3_fb96_d640_c9fe,
+    0x7628_a7fd_988b_73d0,
+    0xa1ad_3bf7_766d_5753,
+    0xb29b_d9a6_7095_4bbd,
+    0x2b14_be91_05e2_0bf0,
+];
+
+/// The third lane's jobs, in golden-table order.
+fn lane_golden_jobs() -> Vec<LaneJob> {
+    let mut jobs: Vec<LaneJob> = (0..RL_SEEDS).map(support::seeded_lane).collect();
+    let program = support::imiss_program();
+    for (name, cfg) in support::imiss_configs() {
+        jobs.push(LaneJob {
+            label: format!("imiss {name}"),
+            program: program.clone(),
+            cfg,
+            preload: Vec::new(),
+        });
+    }
+    jobs.extend(support::straggler_jobs());
+    jobs
+}
+
+fn run_lane_job(job: &LaneJob) -> SimResult {
+    let mut sim = Simulator::new(&job.program, job.cfg.clone());
+    for &(a, v) in &job.preload {
+        sim.preload_mem(a, v);
+    }
+    sim.run().unwrap_or_else(|e| panic!("{}: {e}", job.label))
+}
+
+/// The hierarchy fingerprint continued over the mechanism counters only
+/// the flat fingerprint hashes (DHP, predicate prediction, the wish-class
+/// confidence split, loop exits): every `SimStats` field a lane can move.
+fn fingerprint_lane(r: &SimResult) -> u64 {
+    let mut h = fingerprint_hierarchy(r);
+    let s = &r.stats;
+    let mut fields = vec![
+        s.dhp_predications,
+        s.dhp_flushes_avoided,
+        s.pred_value_predictions,
+        s.pred_value_mispredictions,
+        s.loop_early_exits,
+        s.loop_late_exits,
+        s.loop_no_exits,
+    ];
+    for w in [&s.wish_jumps, &s.wish_joins, &s.wish_loops] {
+        fields.extend([
+            w.high_correct,
+            w.high_mispredicted,
+            w.low_correct,
+            w.low_mispredicted,
+        ]);
+    }
+    for v in fields {
+        for b in v.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Every lane job reproduces the scalar core's fingerprint. The I-miss
+/// composition must also actually stall on non-blocking I-fills under the
+/// hierarchy (and never under the flat model), or it tests nothing.
+#[test]
+fn lane_engine_reproduces_scalar_core_goldens() {
+    let jobs = lane_golden_jobs();
+    assert_eq!(jobs.len(), RL_CASES);
+    for (i, job) in jobs.iter().enumerate() {
+        let r = run_lane_job(job);
+        if job.label.starts_with("imiss") {
+            let pending = r.stats.cycle_accounting.imiss_pending;
+            assert_eq!(
+                pending > 0,
+                job.cfg.mem.realistic,
+                "{}: {pending}",
+                job.label
+            );
+        }
+        assert_eq!(
+            fingerprint_lane(&r),
+            RL_GOLDEN[i],
+            "case {i} ({}): SimResult diverged from the scalar core's golden",
+            job.label
+        );
+    }
+}
+
+/// Regeneration helper (ignored): prints the lane golden array.
+#[test]
+#[ignore = "golden generator, run manually with --nocapture"]
+fn regenerate_lane_goldens() {
+    println!("const RL_GOLDEN: [u64; RL_CASES] = [");
+    for job in lane_golden_jobs() {
+        println!("    {:#018x},", fingerprint_lane(&run_lane_job(&job)));
     }
     println!("];");
 }
