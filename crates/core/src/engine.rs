@@ -47,13 +47,14 @@ use std::time::{Duration, Instant};
 
 use crate::error::{FaultKind, FaultPlan, JobError, JobFailure};
 use crate::experiment::{
-    lockstep_check, profile_on, simulate_lockstep_pooled, simulate_unverified_pooled,
-    verify_retired_state, ExperimentConfig, RunOutcome,
+    input_image, lockstep_check, profile_on, simulate_on_image, verify_against_image,
+    ExperimentConfig, RunOutcome,
 };
 use crate::journal::{fnv1a64, JournalError, JournalWriter};
 use crate::store::ArtifactStore;
 use wishbranch_compiler::{compile, compile_adaptive, BinaryVariant, CompileOptions, CompiledBinary};
 use wishbranch_ir::Profile;
+use wishbranch_isa::exec::MemImage;
 use wishbranch_uarch::{BatchLaneSpec, BatchSimulator, MachineConfig, SimError, SimScratch};
 use wishbranch_workloads::{suite, Benchmark, InputSet};
 
@@ -221,12 +222,14 @@ pub struct JobResult {
 /// Per-phase wall-clock breakdown of one job. `acquire` covers the
 /// binary-cache lookup, including any profiling and compilation it
 /// triggered (zero-ish on a cache hit); `simulate` is the cycle
-/// simulation; `verify` is the functional-reference cross-check.
+/// simulation, including building the job's input image and, in oracle
+/// mode, the lockstep replay; `verify` is the functional-reference
+/// cross-check alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct JobPhases {
     /// Binary acquisition: cache lookup + (on miss) profile + compile.
     pub acquire: Duration,
-    /// Cycle simulation.
+    /// Cycle simulation, input-image build included.
     pub simulate: Duration,
     /// Architectural verification against the functional reference.
     pub verify: Duration,
@@ -271,9 +274,11 @@ pub struct SweepSummary {
     pub profile_time: Duration,
     /// Time spent compiling, excluding the profiling it triggered.
     pub compile_time: Duration,
-    /// Time spent in the cycle simulator.
+    /// Time spent in the cycle simulator, including building each job's
+    /// input image and, in oracle mode, the lockstep replay.
     pub simulate_time: Duration,
-    /// Time spent verifying retired state against the reference machine.
+    /// Time spent verifying retired state against the reference machine
+    /// (the check alone).
     pub verify_time: Duration,
     /// Simulated cycles across all executed jobs (journal hits excluded —
     /// they spend no simulator time).
@@ -992,19 +997,34 @@ impl SweepRunner {
             }
             return;
         }
-        let specs: Vec<BatchLaneSpec<'_>> = plans
+        let t_sim = Instant::now();
+        // One input image per distinct (bench, input) among the lanes,
+        // built inside the simulate window: each lane's preload is a copy
+        // of it, and the lane's checks below read it.
+        let mut images: Vec<((usize, InputSet), MemImage)> = Vec::new();
+        let lane_image: Vec<usize> = plans
             .iter()
             .map(|plan| {
+                let key = (jobs[plan.idx].bench, jobs[plan.idx].input);
+                images.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
+                    images.push((key, input_image(&self.benches[key.0], key.1)));
+                    images.len() - 1
+                })
+            })
+            .collect();
+        let specs: Vec<BatchLaneSpec<'_>> = plans
+            .iter()
+            .zip(&lane_image)
+            .map(|(plan, &img)| {
                 let job = &jobs[plan.idx];
                 BatchLaneSpec {
                     program: &plan.bin.program,
                     cfg: job.machine.clone(),
-                    preload_mem: (self.benches[job.bench].input_fn)(job.input),
+                    preload_mem: images[img].1.words().to_vec(),
                     retire_log: self.oracle && !job.machine.oracles.no_false_predicate_fetch,
                 }
             })
             .collect();
-        let t_sim = Instant::now();
         let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut batch = BatchSimulator::new(&specs);
             let results = batch.run();
@@ -1030,8 +1050,11 @@ impl SweepRunner {
         self.simulate_nanos
             .fetch_add(batch_wall.as_nanos() as u64, Ordering::Relaxed);
         let share = batch_wall / plans.len() as u32;
-        for ((plan, result), records) in plans.iter().zip(results).zip(&logs) {
+        for (((plan, result), records), &img) in
+            plans.iter().zip(results).zip(&logs).zip(&lane_image)
+        {
             let i = plan.idx;
+            let image = &images[img].1;
             let job = &jobs[i];
             let filled = match result {
                 Err(SimError::CycleLimitExceeded { limit }) => Err(self.record_failure(
@@ -1042,23 +1065,32 @@ impl SweepRunner {
                 )),
                 Ok(sim) => {
                     let bench = &self.benches[job.bench];
+                    // As on the single-job path, the lockstep replay counts
+                    // toward simulate and `verify` times the check alone.
                     let t2 = Instant::now();
-                    let checked = if self.oracle && !job.machine.oracles.no_false_predicate_fetch
+                    let replayed = if self.oracle && !job.machine.oracles.no_false_predicate_fetch
                     {
-                        lockstep_check(&plan.bin.program, bench, job.input, &sim, records)
+                        lockstep_check(&plan.bin.program, bench, job.input, image, &sim, records)
                     } else {
                         Ok(())
-                    }
-                    .and_then(|()| verify_retired_state(&plan.bin.program, bench, job.input, &sim));
-                    let verify = t2.elapsed();
+                    };
+                    let replay = t2.elapsed();
+                    let t3 = Instant::now();
+                    let checked = replayed.and_then(|()| {
+                        verify_against_image(&plan.bin.program, bench, job.input, image, &sim)
+                    });
+                    let verify = t3.elapsed();
                     match checked {
                         Err(error) => Err(self.record_failure(job, base + i as u64, error, 1)),
                         Ok(()) => {
-                            let wall = plan.acquire + share + verify;
+                            let simulate = share + replay;
+                            let wall = plan.acquire + simulate + verify;
                             self.jobs_run.fetch_add(1, Ordering::Relaxed);
                             self.batched_jobs.fetch_add(1, Ordering::Relaxed);
                             self.job_time_nanos
                                 .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
+                            self.simulate_nanos
+                                .fetch_add(replay.as_nanos() as u64, Ordering::Relaxed);
                             self.verify_nanos
                                 .fetch_add(verify.as_nanos() as u64, Ordering::Relaxed);
                             self.sim_cycles.fetch_add(sim.stats.cycles, Ordering::Relaxed);
@@ -1074,7 +1106,7 @@ impl SweepRunner {
                                 wall,
                                 phases: JobPhases {
                                     acquire: plan.acquire,
-                                    simulate: share,
+                                    simulate,
                                     verify,
                                 },
                                 compile_cache_hit: plan.cache_hit,
@@ -1123,17 +1155,19 @@ impl SweepRunner {
             &job.machine
         };
         let t1 = Instant::now();
-        let mut sim = if self.oracle {
-            simulate_lockstep_pooled(&binary.program, bench, job.input, machine, scratch)?
-        } else {
-            simulate_unverified_pooled(&binary.program, bench, job.input, machine, scratch)?
-        };
+        let image = input_image(bench, job.input);
+        let lockstep = self.oracle && !machine.oracles.no_false_predicate_fetch;
+        let (mut sim, records) =
+            simulate_on_image(&binary.program, &image, machine, scratch, lockstep)?;
+        if lockstep {
+            lockstep_check(&binary.program, bench, job.input, &image, &sim, &records)?;
+        }
         let simulate = t1.elapsed();
         if fault == Some(FaultKind::Diverge) {
             sim.final_mem.insert(u64::MAX, i64::MIN);
         }
         let t2 = Instant::now();
-        verify_retired_state(&binary.program, bench, job.input, &sim)?;
+        verify_against_image(&binary.program, bench, job.input, &image, &sim)?;
         let verify = t2.elapsed();
         let wall = t0.elapsed();
         if let Some(budget) = self.wall_budget {

@@ -8,8 +8,8 @@
 use crate::error::JobError;
 use wishbranch_compiler::{compile, BinaryVariant, CompileOptions, CompiledBinary};
 use wishbranch_ir::{Interpreter, Profile};
-use wishbranch_isa::exec::Machine;
-use wishbranch_isa::Program;
+use wishbranch_isa::exec::{merge_by_address, Machine, MemImage};
+use wishbranch_isa::{Program, RetireRecord};
 use wishbranch_uarch::{MachineConfig, SimError, SimResult, SimScratch, Simulator};
 use wishbranch_workloads::{Benchmark, InputSet};
 
@@ -150,6 +150,14 @@ pub fn compile_adaptive_variant(
     Ok(wishbranch_compiler::compile_adaptive(&bench.module, &profiles, &ec.compile))
 }
 
+/// The input image of `bench` on `input`: its preload list normalised
+/// once into address order, last write winning. One job builds it once
+/// and shares it between the simulator's preload, the lockstep oracle and
+/// the architectural check.
+pub fn input_image(bench: &Benchmark, input: InputSet) -> MemImage {
+    MemImage::from_preload((bench.input_fn)(input))
+}
+
 /// Simulates `program` on `machine` with the benchmark's input set, and
 /// verifies the retired state against the functional reference machine.
 ///
@@ -165,14 +173,15 @@ pub fn simulate(
     input: InputSet,
     machine: &MachineConfig,
 ) -> Result<SimResult, JobError> {
-    let result = simulate_unverified(program, bench, input, machine)?;
-    verify_retired_state(program, bench, input, &result)?;
+    let image = input_image(bench, input);
+    let (result, _) =
+        simulate_on_image(program, &image, machine, &mut SimScratch::default(), false)?;
+    verify_against_image(program, bench, input, &image, &result)?;
     Ok(result)
 }
 
-/// The cycle simulation alone, without the architectural cross-check —
-/// the [`crate::SweepRunner`] uses this to time the simulate and verify
-/// phases separately. Prefer [`simulate`] unless you verify yourself.
+/// The cycle simulation alone, without the architectural cross-check.
+/// Prefer [`simulate`] unless you verify yourself.
 ///
 /// # Errors
 ///
@@ -184,37 +193,43 @@ pub fn simulate_unverified(
     input: InputSet,
     machine: &MachineConfig,
 ) -> Result<SimResult, JobError> {
-    simulate_unverified_pooled(program, bench, input, machine, &mut SimScratch::default())
+    let image = input_image(bench, input);
+    simulate_on_image(program, &image, machine, &mut SimScratch::default(), false)
+        .map(|(result, _)| result)
 }
 
-/// [`simulate_unverified`] with caller-owned scratch buffers: the
-/// simulator is built with [`Simulator::with_scratch`] and recycled back
-/// into `scratch` afterwards, so a worker running many jobs back to back
-/// reuses its large allocations (the decoded µop tables and the lane's
-/// arenas) instead of reallocating them per job. Bit-identical to the
-/// unpooled path.
+/// The cycle simulation of `program` preloaded with `image`, on
+/// caller-owned scratch buffers: the simulator is built with
+/// [`Simulator::with_scratch`] and recycled back into `scratch`
+/// afterwards, so a worker running many jobs back to back reuses its
+/// large allocations (the decoded µop tables and the lane's arenas)
+/// instead of reallocating them per job. With `retire_log` set it also
+/// returns the retired-instruction stream for [`lockstep_check`].
 ///
 /// # Errors
 ///
 /// [`JobError::CycleBudgetExceeded`] if the simulation exhausts the
 /// machine's cycle budget.
-pub fn simulate_unverified_pooled(
+pub fn simulate_on_image(
     program: &Program,
-    bench: &Benchmark,
-    input: InputSet,
+    image: &MemImage,
     machine: &MachineConfig,
     scratch: &mut SimScratch,
-) -> Result<SimResult, JobError> {
-    let inputs = (bench.input_fn)(input);
+    retire_log: bool,
+) -> Result<(SimResult, Vec<RetireRecord>), JobError> {
     let mut sim = Simulator::with_scratch(program, machine.clone(), scratch);
-    for &(a, v) in &inputs {
+    for &(a, v) in image.words() {
         sim.preload_mem(a, v);
+    }
+    if retire_log {
+        sim.enable_retire_log();
     }
     let run = sim.run().map_err(|e| match e {
         SimError::CycleLimitExceeded { limit } => JobError::CycleBudgetExceeded { limit },
     });
+    let records = if retire_log { sim.take_retire_log() } else { Vec::new() };
     sim.recycle(scratch);
-    run
+    Ok((run?, records))
 }
 
 /// Simulates `program` with the retired-instruction stream enabled and
@@ -243,50 +258,24 @@ pub fn simulate_lockstep(
     input: InputSet,
     machine: &MachineConfig,
 ) -> Result<SimResult, JobError> {
-    simulate_lockstep_pooled(program, bench, input, machine, &mut SimScratch::default())
-}
-
-/// [`simulate_lockstep`] with caller-owned scratch buffers (see
-/// [`simulate_unverified_pooled`]). Bit-identical to the unpooled path.
-///
-/// # Errors
-///
-/// As [`simulate_lockstep`].
-pub fn simulate_lockstep_pooled(
-    program: &Program,
-    bench: &Benchmark,
-    input: InputSet,
-    machine: &MachineConfig,
-    scratch: &mut SimScratch,
-) -> Result<SimResult, JobError> {
-    let inputs = (bench.input_fn)(input);
-    let mut sim = Simulator::with_scratch(program, machine.clone(), scratch);
-    for &(a, v) in &inputs {
-        sim.preload_mem(a, v);
-    }
+    let image = input_image(bench, input);
     let lockstep = !machine.oracles.no_false_predicate_fetch;
+    let (result, records) =
+        simulate_on_image(program, &image, machine, &mut SimScratch::default(), lockstep)?;
     if lockstep {
-        sim.enable_retire_log();
+        lockstep_check(program, bench, input, &image, &result, &records)?;
     }
-    let run = sim.run().map_err(|e| match e {
-        SimError::CycleLimitExceeded { limit } => JobError::CycleBudgetExceeded { limit },
-    });
-    let records = if lockstep { sim.take_retire_log() } else { Vec::new() };
-    sim.recycle(scratch);
-    let result = run?;
-    if lockstep {
-        lockstep_check(program, bench, input, &result, &records)?;
-    }
-    verify_retired_state(program, bench, input, &result)?;
+    verify_against_image(program, bench, input, &image, &result)?;
     Ok(result)
 }
 
 /// Replays a retired-instruction stream through the lockstep reference
-/// oracle and anchors the oracle's final state against the simulator's
-/// retired state. This is the oracle half of [`simulate_lockstep`],
-/// factored out so the batched engine path can run it against a retire
-/// log collected by a [`wishbranch_uarch::BatchSimulator`] lane. Callers
-/// are responsible for skipping it for the NO-FETCH limit machine
+/// oracle, preloaded with the job's input `image`, and anchors the
+/// oracle's final state against the simulator's retired state. This is
+/// the oracle half of [`simulate_lockstep`], factored out so the engine
+/// can run it on a retire log from either a lone [`Simulator`] or a
+/// [`wishbranch_uarch::BatchSimulator`] lane. Callers are responsible for
+/// skipping it for the NO-FETCH limit machine
 /// (`no_false_predicate_fetch`), whose retired stream is not a contiguous
 /// architectural walk.
 ///
@@ -298,12 +287,12 @@ pub fn lockstep_check(
     program: &Program,
     bench: &Benchmark,
     input: InputSet,
+    image: &MemImage,
     result: &SimResult,
-    records: &[wishbranch_isa::RetireRecord],
+    records: &[RetireRecord],
 ) -> Result<(), JobError> {
-    let inputs = (bench.input_fn)(input);
     let mut oracle = wishbranch_isa::LockstepOracle::new(program);
-    for &(a, v) in &inputs {
+    for &(a, v) in image.words() {
         oracle.preload_mem(a, v);
     }
     let label = format!("{} {input}", bench.name);
@@ -320,8 +309,17 @@ pub fn lockstep_check(
 }
 
 /// Checks a simulation's retired memory state against the functional
-/// reference machine (always-on architectural verification — cheap next
-/// to the cycle sim).
+/// reference machine (always-on architectural verification). Builds the
+/// job's input image itself; the engine, which already holds the image,
+/// calls [`verify_against_image`].
+///
+/// This check is not free next to the cycle simulation. In perfbench's
+/// traced ledger (`isa.verify_ms`, which times this function; seed 7,
+/// 2-vCPU Xeon VM, median of 3) it took 66 ms for the 45 `grid-scalar`
+/// jobs and 199 ms for the 126 `sweep-batch8` lanes, beside 160–290 ms of
+/// simulation, while it rebuilt the input into a map and compared
+/// whole-image map copies. Checking in place cut that to 22 ms and 57 ms;
+/// most of what remains is regenerating the input.
 ///
 /// # Errors
 ///
@@ -334,37 +332,42 @@ pub fn verify_retired_state(
     input: InputSet,
     result: &SimResult,
 ) -> Result<(), JobError> {
-    let inputs = (bench.input_fn)(input);
-    let mut reference = Machine::new();
-    for &(a, v) in &inputs {
-        reference.mem.insert(a, v);
-    }
-    let expect = reference
-        .run(program, DEFAULT_STEP_BUDGET)
+    verify_against_image(program, bench, input, &input_image(bench, input), result)
+}
+
+/// [`verify_retired_state`] against an input image the caller already
+/// built. The reference runs on the shared image and keeps only the words
+/// it writes; one ordered walk then compares the simulator's final memory
+/// with the image overlaid by those writes, word by word. Every job runs
+/// its own reference and compares every word.
+///
+/// # Errors
+///
+/// As [`verify_retired_state`].
+pub fn verify_against_image(
+    program: &Program,
+    bench: &Benchmark,
+    input: InputSet,
+    image: &MemImage,
+    result: &SimResult,
+) -> Result<(), JobError> {
+    let expect = Machine::new()
+        .run_on(program, image, DEFAULT_STEP_BUDGET)
         .map_err(|e| JobError::SimFault(format!("{} {input}: reference run failed: {e}", bench.name)))?;
-    if result.final_mem == expect.mem {
-        return Ok(());
+    let retired = result.final_mem.iter().map(|(&a, &v)| (a, v));
+    // The walk visits addresses in ascending order, so this is the lowest
+    // differing address, which keeps the failure table actionable.
+    let first = merge_by_address(retired, image.overlay(&expect.mem))
+        .find(|&(_, got, want)| got != want);
+    match first {
+        None => Ok(()),
+        Some((addr, got, want)) => Err(JobError::VerifyDivergence {
+            detail: format!(
+                "{} {input}: addr {addr:#x}: simulator {got:?}, reference {want:?}",
+                bench.name
+            ),
+        }),
     }
-    // Name the first differing address so the failure table is actionable.
-    let detail = result
-        .final_mem
-        .iter()
-        .map(|(&a, &v)| (a, Some(v), expect.mem.get(&a).copied()))
-        .chain(
-            expect
-                .mem
-                .iter()
-                .filter(|(a, _)| !result.final_mem.contains_key(a))
-                .map(|(&a, &v)| (a, None, Some(v))),
-        )
-        .find(|&(_, got, want)| got != want)
-        .map_or_else(
-            || "memory images differ".to_string(),
-            |(a, got, want)| format!("addr {a:#x}: simulator {got:?}, reference {want:?}"),
-        );
-    Err(JobError::VerifyDivergence {
-        detail: format!("{} {input}: {detail}", bench.name),
-    })
 }
 
 /// Profile (on the training input), compile, simulate (on `input`), verify.
@@ -410,9 +413,9 @@ pub fn trace_binary(
     } else {
         compile_variant(bench, variant, ec)?
     };
-    let inputs = (bench.input_fn)(input);
+    let image = input_image(bench, input);
     let mut sim = Simulator::new(&bin.program, ec.machine.clone());
-    for &(a, v) in &inputs {
+    for &(a, v) in image.words() {
         sim.preload_mem(a, v);
     }
     sim.enable_trace();
@@ -420,7 +423,7 @@ pub fn trace_binary(
         SimError::CycleLimitExceeded { limit } => JobError::CycleBudgetExceeded { limit },
     })?;
     let trace = sim.take_trace();
-    verify_retired_state(&bin.program, bench, input, &result)?;
+    verify_against_image(&bin.program, bench, input, &image, &result)?;
     Ok((result, trace))
 }
 

@@ -6,6 +6,12 @@
 //! against, and the oracle the compiler's binary variants are validated
 //! with: every variant of the same IR module must leave identical memory.
 //!
+//! A program's input can live in a shared, read-only [`MemImage`]
+//! instead of the machine's own map ([`Machine::run_on`]): loads read the
+//! machine's written words first and the image second, so a run touches
+//! only the words it writes, and [`MemImage::overlay`] rebuilds the full
+//! final memory in address order without copying the image.
+//!
 //! Guard semantics are the C-style conversion of the paper's §2.1 viewed
 //! architecturally: a µop whose qualifying predicate reads FALSE changes no
 //! architectural state (registers keep their old values, stores are
@@ -14,9 +20,98 @@
 use crate::insn::{BranchKind, InsnKind};
 use crate::program::Program;
 use crate::regs::{Gpr, PredReg, NUM_GPRS, NUM_PREDS};
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
+
+/// A read-only memory image: `(address, value)` words sorted by address,
+/// at most one per address. Build one per input with
+/// [`MemImage::from_preload`] and share it between the simulator's
+/// preload, the reference run and the final-state check.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
+pub struct MemImage {
+    words: Vec<(u64, i64)>,
+}
+
+impl MemImage {
+    /// Normalises a preload list — any order, duplicates allowed — into an
+    /// image. A duplicated address keeps its last value, exactly as
+    /// inserting the list in order into a map would.
+    #[must_use]
+    pub fn from_preload(mut words: Vec<(u64, i64)>) -> MemImage {
+        // Stable, so duplicates stay in list order; `dedup_by` then folds
+        // each run of equal addresses into its first slot, last value
+        // winning.
+        words.sort_by_key(|&(addr, _)| addr);
+        words.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        MemImage { words }
+    }
+
+    /// The words, sorted by address.
+    #[must_use]
+    pub fn words(&self) -> &[(u64, i64)] {
+        &self.words
+    }
+
+    /// The value at `addr`, if the image holds it.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, addr: u64) -> Option<i64> {
+        self.words
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()
+            .map(|i| self.words[i].1)
+    }
+
+    /// The image overlaid by `writes` (a run's written words), in address
+    /// order: a written word replaces the image's value at its address.
+    /// Collected into a map, this equals the final memory of a run whose
+    /// machine was preloaded with the image.
+    pub fn overlay<'a>(
+        &'a self,
+        writes: &'a BTreeMap<u64, i64>,
+    ) -> impl Iterator<Item = (u64, i64)> + 'a {
+        merge_by_address(
+            self.words.iter().copied(),
+            writes.iter().map(|(&a, &v)| (a, v)),
+        )
+        .map(|(addr, image, written)| (addr, written.or(image).unwrap_or_default()))
+    }
+}
+
+/// Walks two address-sorted word streams (one word per address each) in
+/// one ordered pass, yielding every address of either with its value in
+/// `a` and in `b`.
+pub fn merge_by_address(
+    a: impl Iterator<Item = (u64, i64)>,
+    b: impl Iterator<Item = (u64, i64)>,
+) -> impl Iterator<Item = (u64, Option<i64>, Option<i64>)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    std::iter::from_fn(move || {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (Some(&(x, _)), Some(&(y, _))) => x.cmp(&y),
+        };
+        match order {
+            Ordering::Less => a.next().map(|(addr, v)| (addr, Some(v), None)),
+            Ordering::Greater => b.next().map(|(addr, v)| (addr, None, Some(v))),
+            Ordering::Equal => {
+                let (addr, va) = a.next()?;
+                let (_, vb) = b.next()?;
+                Some((addr, Some(va), Some(vb)))
+            }
+        }
+    })
+}
 
 /// Errors from [`Machine::run`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -57,8 +152,11 @@ pub struct ExecResult {
     pub regs: [i64; NUM_GPRS],
     /// Final predicate registers.
     pub preds: [bool; NUM_PREDS],
-    /// Final memory, sorted.
-    pub mem: std::collections::BTreeMap<u64, i64>,
+    /// The machine's own final memory, sorted: every word for
+    /// [`Machine::run`]; for [`Machine::run_on`], only what the machine
+    /// held itself — its preloaded words and the words the program wrote —
+    /// with the image left out (see [`MemImage::overlay`]).
+    pub mem: BTreeMap<u64, i64>,
 }
 
 /// A simple in-order architectural µop machine.
@@ -119,6 +217,24 @@ impl Machine {
     /// Returns [`ExecError`] if control leaves the image or the step budget
     /// is exhausted.
     pub fn run(&mut self, program: &Program, max_steps: u64) -> Result<ExecResult, ExecError> {
+        self.run_on(program, &MemImage::default(), max_steps)
+    }
+
+    /// Runs `program` from its entry to `halt` with `image` as read-only
+    /// backing memory: a load reads the machine's own map first and the
+    /// image second, a store writes the machine's map only. The result's
+    /// `mem` therefore holds only the machine's own words; overlay them on
+    /// the image ([`MemImage::overlay`]) for the full final memory.
+    ///
+    /// # Errors
+    ///
+    /// As [`Machine::run`].
+    pub fn run_on(
+        &mut self,
+        program: &Program,
+        image: &MemImage,
+        max_steps: u64,
+    ) -> Result<ExecResult, ExecError> {
         let mut pc = program.entry();
         let mut steps: u64 = 0;
         let mut guard_false_steps: u64 = 0;
@@ -183,7 +299,10 @@ impl Machine {
                 InsnKind::PredSet { dst, value } => self.set_pred(dst, value),
                 InsnKind::Load { dst, base, offset } => {
                     let addr = self.reg(base).wrapping_add(i64::from(offset)) as u64;
-                    self.regs[dst.index()] = self.mem.get(&addr).copied().unwrap_or(0);
+                    self.regs[dst.index()] = match self.mem.get(&addr) {
+                        Some(&v) => v,
+                        None => image.get(addr).unwrap_or(0),
+                    };
                 }
                 InsnKind::Store { src, base, offset } => {
                     let addr = self.reg(base).wrapping_add(i64::from(offset)) as u64;
@@ -317,6 +436,27 @@ mod tests {
             m.run(&b.build(), 10),
             Err(ExecError::StepLimitExceeded { limit: 10 })
         );
+    }
+
+    #[test]
+    fn run_on_reads_image_and_keeps_only_written_words() {
+        // r2 = mem[16] + 1; mem[24] = r2; mem[16] = 0; r3 = mem[16].
+        let prog = Program::from_insns(vec![
+            Insn::mov_imm(r(1), 16),
+            Insn::load(r(2), r(1), 0),
+            Insn::alu(AluOp::Add, r(2), r(2), Operand::imm(1)),
+            Insn::store(r(2), r(1), 8),
+            Insn::store(r(0), r(1), 0),
+            Insn::load(r(3), r(1), 0),
+            Insn::halt(),
+        ]);
+        let image = MemImage::from_preload(vec![(16, 41), (32, 7)]);
+        let res = Machine::new().run_on(&prog, &image, 100).unwrap();
+        assert_eq!(res.regs[2], 42);
+        assert_eq!(res.regs[3], 0, "a written word shadows the image");
+        assert_eq!(res.mem, BTreeMap::from([(16, 0), (24, 42)]));
+        let full: BTreeMap<u64, i64> = image.overlay(&res.mem).collect();
+        assert_eq!(full, BTreeMap::from([(16, 0), (24, 42), (32, 7)]));
     }
 
     #[test]

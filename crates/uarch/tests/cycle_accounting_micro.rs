@@ -132,6 +132,10 @@ fn tight_mshr_files_accrue_mshr_full_cycles() {
 fn outstanding_fills_accrue_miss_pending_cycles() {
     let mut cfg = MachineConfig::default();
     cfg.mem.realistic = true;
+    // The default L1 MSHR file holds 4 misses; size both levels for all
+    // 16 outstanding misses so no cycle is an MSHR-full stall.
+    cfg.mem.l1_mshrs = 16;
+    cfg.mem.l2_mshrs = 16;
     let res = run(&scattered_load_program(), cfg);
     assert_identities(&res);
     let acc = res.stats.cycle_accounting;
