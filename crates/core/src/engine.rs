@@ -34,7 +34,12 @@
 //! When a journal is attached ([`SweepRunner::attach_journal`]), every
 //! completed job is appended to a JSONL file as it finishes, and — on
 //! resume — jobs whose key is already journaled are served from the
-//! journal bit-identically instead of re-running (`--resume`).
+//! journal bit-identically instead of re-running (`--resume`). A runner
+//! that persists (journal or [`ArtifactStore`] attached) encodes each
+//! fresh success once, against the input image it ran on, and writes the
+//! same entry bytes to the journal, the store and
+//! [`JobResult::entry`]; a runner that persists nothing does no codec
+//! work at all.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -50,7 +55,7 @@ use crate::experiment::{
     input_image, lockstep_check, profile_on, simulate_on_image, verify_against_image,
     ExperimentConfig, RunOutcome,
 };
-use crate::journal::{fnv1a64, JournalError, JournalWriter};
+use crate::journal::{encode_entry_on, fnv1a64, InputImage, JournalError, JournalWriter};
 use crate::store::ArtifactStore;
 use wishbranch_compiler::{compile, compile_adaptive, BinaryVariant, CompileOptions, CompiledBinary};
 use wishbranch_ir::Profile;
@@ -217,6 +222,11 @@ pub struct JobResult {
     /// Whether the whole outcome was served from an attached
     /// content-addressed [`ArtifactStore`] instead of being executed.
     pub store_hit: bool,
+    /// The job's `wishbranch.journal/v1` entry line, when the runner
+    /// persists outcomes (a journal or store is attached): the bytes
+    /// written to the journal and the store for a fresh success, or read
+    /// back from them on a hit. `None` on a runner that persists nothing.
+    pub entry: Option<Arc<str>>,
 }
 
 /// Per-phase wall-clock breakdown of one job. `acquire` covers the
@@ -348,11 +358,11 @@ type BinaryCell = Arc<OnceLock<Result<Arc<CompiledBinary>, JobError>>>;
 /// in completion order.
 pub type JobObserver = Arc<dyn Fn(u64, &JobResult) + Send + Sync>;
 
-/// An attached sweep journal: the append handle plus the outcomes loaded
-/// for `--resume` (empty when not resuming).
+/// An attached sweep journal: the append handle plus the outcomes (and
+/// their entry lines) loaded for `--resume` (empty when not resuming).
 struct JournalState {
     writer: JournalWriter,
-    resume: HashMap<u64, RunOutcome>,
+    resume: HashMap<u64, (RunOutcome, Arc<str>)>,
 }
 
 /// The parallel sweep engine. See the module docs.
@@ -836,7 +846,7 @@ impl SweepRunner {
     /// present there, with all the counter/notify side effects of that
     /// path. A store consult that misses counts as a store miss.
     fn cached_lookup(&self, job: &SweepJob) -> Option<JobResult> {
-        if let Some(outcome) = self.journal_lookup(job) {
+        if let Some((key, outcome, entry)) = self.journal_lookup(job) {
             self.jobs_run.fetch_add(1, Ordering::Relaxed);
             self.journal_hits.fetch_add(1, Ordering::Relaxed);
             let done = JobResult {
@@ -847,18 +857,20 @@ impl SweepRunner {
                 compile_cache_hit: true,
                 journal_hit: true,
                 store_hit: false,
+                entry: Some(entry),
             };
-            self.notify(&done);
+            self.notify(Some(key), &done);
             return Some(done);
         }
         if let Some(store) = &self.store {
             let key = self.job_key(job);
-            if let Some(outcome) = store.get(key) {
+            if let Some((outcome, entry)) = store.get_entry(key) {
                 self.jobs_run.fetch_add(1, Ordering::Relaxed);
                 self.store_hits.fetch_add(1, Ordering::Relaxed);
-                // Append to the local journal so a later resume of this
-                // run is complete without consulting the store.
-                self.journal_append(job, &outcome);
+                // Append the bytes as read to the local journal, so a
+                // later resume of this run is complete without consulting
+                // the store.
+                self.journal_append(&entry);
                 let done = JobResult {
                     job: job.clone(),
                     outcome,
@@ -867,8 +879,9 @@ impl SweepRunner {
                     compile_cache_hit: true,
                     journal_hit: false,
                     store_hit: true,
+                    entry: Some(entry.into()),
                 };
-                self.notify(&done);
+                self.notify(Some(key), &done);
                 return Some(done);
             }
             self.store_misses.fetch_add(1, Ordering::Relaxed);
@@ -918,16 +931,8 @@ impl SweepRunner {
                 }),
             };
             match result {
-                Ok(done) => {
-                    self.journal_append(job, &done.outcome);
-                    if let Some(store) = &self.store {
-                        if let Err(e) = store.put(self.job_key(job), &done.outcome) {
-                            // Store write failure degrades the cache (warn),
-                            // never the sweep — same contract as the journal.
-                            eprintln!("warning: artifact-store write failed: {e}");
-                        }
-                    }
-                    self.notify(&done);
+                Ok((mut done, image)) => {
+                    self.land(&mut done, &image);
                     return Ok(done);
                 }
                 Err(error) if error.retryable() && attempts <= self.retry_limit => {
@@ -1096,7 +1101,7 @@ impl SweepRunner {
                             self.sim_cycles.fetch_add(sim.stats.cycles, Ordering::Relaxed);
                             self.sim_uops
                                 .fetch_add(sim.stats.retired_uops, Ordering::Relaxed);
-                            let done = JobResult {
+                            let mut done = JobResult {
                                 job: job.clone(),
                                 outcome: RunOutcome {
                                     sim,
@@ -1112,14 +1117,9 @@ impl SweepRunner {
                                 compile_cache_hit: plan.cache_hit,
                                 journal_hit: false,
                                 store_hit: false,
+                                entry: None,
                             };
-                            self.journal_append(job, &done.outcome);
-                            if let Some(store) = &self.store {
-                                if let Err(e) = store.put(self.job_key(job), &done.outcome) {
-                                    eprintln!("warning: artifact-store write failed: {e}");
-                                }
-                            }
-                            self.notify(&done);
+                            self.land(&mut done, image);
                             Ok(done)
                         }
                     }
@@ -1134,12 +1134,14 @@ impl SweepRunner {
     /// failures — a real panic, a real cycle-budget overrun (tiny
     /// `max_cycles`), a real verify divergence (corrupted retired memory)
     /// — so the whole recovery path is exercised, not a mock of it.
+    /// Returns the result with the input image it ran on, which
+    /// [`land`](Self::land) encodes the outcome against.
     fn execute_job(
         &self,
         job: &SweepJob,
         fault: Option<FaultKind>,
         scratch: &mut SimScratch,
-    ) -> Result<JobResult, JobError> {
+    ) -> Result<(JobResult, MemImage), JobError> {
         if fault == Some(FaultKind::Panic) {
             panic!("injected fault: worker panic");
         }
@@ -1189,7 +1191,7 @@ impl SweepRunner {
         self.sim_cycles.fetch_add(sim.stats.cycles, Ordering::Relaxed);
         self.sim_uops
             .fetch_add(sim.stats.retired_uops, Ordering::Relaxed);
-        Ok(JobResult {
+        let done = JobResult {
             job: job.clone(),
             outcome: RunOutcome {
                 sim,
@@ -1205,19 +1207,52 @@ impl SweepRunner {
             compile_cache_hit,
             journal_hit: false,
             store_hit: false,
-        })
+            entry: None,
+        };
+        Ok((done, image))
     }
 
-    /// Fires the completion observer, if one is installed.
-    fn notify(&self, done: &JobResult) {
+    /// Lands a fresh success: when the runner persists, encodes it once
+    /// against `image` (the input it ran on) and writes those bytes to
+    /// the journal and the store and into [`JobResult::entry`]; then
+    /// notifies the observer. A runner with neither journal nor store
+    /// skips the codec entirely.
+    fn land(&self, done: &mut JobResult, image: &MemImage) {
+        let persists = self.store.is_some() || lock_unpoisoned(&self.journal).is_some();
+        if !persists {
+            self.notify(None, done);
+            return;
+        }
+        let key = self.job_key(&done.job);
+        let input = InputImage {
+            bench: self.benches[done.job.bench].name,
+            input: done.job.input,
+            image,
+        };
+        let entry: Arc<str> = encode_entry_on(key, &done.outcome, Some(input)).into();
+        self.journal_append(&entry);
+        if let Some(store) = &self.store {
+            if let Err(e) = store.put_entry(key, &entry) {
+                // Store write failure degrades the cache (warn), never the
+                // sweep — same contract as the journal.
+                eprintln!("warning: artifact-store write failed: {e}");
+            }
+        }
+        done.entry = Some(entry);
+        self.notify(Some(key), done);
+    }
+
+    /// Fires the completion observer, if one is installed, with the job's
+    /// key (computed here unless the caller already has it).
+    fn notify(&self, key: Option<u64>, done: &JobResult) {
         if let Some(observer) = &self.observer {
-            observer(self.job_key(&done.job), done);
+            observer(key.unwrap_or_else(|| self.job_key(&done.job)), done);
         }
     }
 
-    /// The journaled outcome for a job, if a journal is attached in
-    /// resume mode and has this job's key.
-    fn journal_lookup(&self, job: &SweepJob) -> Option<RunOutcome> {
+    /// The journaled key, outcome and entry line for a job, if a journal
+    /// is attached in resume mode and has this job's key.
+    fn journal_lookup(&self, job: &SweepJob) -> Option<(u64, RunOutcome, Arc<str>)> {
         {
             let guard = lock_unpoisoned(&self.journal);
             let state = guard.as_ref()?;
@@ -1227,21 +1262,18 @@ impl SweepRunner {
         }
         // Fingerprinting is outside the lock; only the map read is inside.
         let key = self.job_key(job);
-        lock_unpoisoned(&self.journal)
+        let (outcome, entry) = lock_unpoisoned(&self.journal)
             .as_ref()
-            .and_then(|state| state.resume.get(&key).cloned())
+            .and_then(|state| state.resume.get(&key).cloned())?;
+        Some((key, outcome, entry))
     }
 
-    /// Appends a completed job to the attached journal, if any. A journal
-    /// write failure degrades the journal (warn on stderr), never the
-    /// sweep.
-    fn journal_append(&self, job: &SweepJob, outcome: &RunOutcome) {
-        if lock_unpoisoned(&self.journal).is_none() {
-            return;
-        }
-        let key = self.job_key(job);
+    /// Appends a completed job's entry line to the attached journal, if
+    /// any. A journal write failure degrades the journal (warn on
+    /// stderr), never the sweep.
+    fn journal_append(&self, entry: &str) {
         if let Some(state) = lock_unpoisoned(&self.journal).as_mut() {
-            if let Err(e) = state.writer.append(key, outcome) {
+            if let Err(e) = state.writer.append(entry) {
                 eprintln!("warning: sweep journal write failed: {e}");
             }
         }

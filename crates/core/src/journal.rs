@@ -20,11 +20,15 @@
 //! typed [`JournalError::RunMismatch`] instead of silently replaying
 //! results that no longer describe the requested experiment.
 //!
-//! Every other line is one completed job:
+//! Every other line is one completed job (layout 4):
 //!
 //! ```json
-//! {"key":1234567890123456789,"v":1,"data":[0,1,2, ...]}
+//! {"key":1234567890123456789,"v":4,
+//!  "image":{"bench":"twolf","input":"C","fnv":9876543210987654321},
+//!  "data":[6441,1352,320, ...]}
 //! ```
+//!
+//! (one line on disk; wrapped here). Fields, in this fixed order:
 //!
 //! * `key` — the job's cache-key fingerprint: an FNV-1a-64 hash over the
 //!   benchmark name, binary variant, run input, training spec, compile
@@ -32,16 +36,30 @@
 //!   compile cache key) and the full machine configuration. Two jobs
 //!   collide only if they would also share every cache key, in which case
 //!   their results are bit-identical by the engine's determinism contract.
-//! * `v` — the payload layout version (this file documents version 3,
-//!   which added the I-side/write-buffer/port counters and the
-//!   `imiss-pending`/`writebuf-full` accounting causes; version-1 and -2
-//!   journals — written before those counters existed — are treated as
-//!   absent and their jobs re-run).
+//! * `v` — the payload layout version. This codec writes version 4 and
+//!   still reads version 3 (identical except that it has no `image` and
+//!   stores `final_mem` whole). Versions 1 and 2, written before the
+//!   I-side, write-buffer and port counters existed, read as absent and
+//!   their jobs re-run.
+//! * `image` — the input image the job ran on, named rather than stored:
+//!   the benchmark's name, the input set (`A`/`B`/`C`) and an FNV-1a-64
+//!   fingerprint of its words (each address and value stepped in as a
+//!   whole 64-bit unit). Inputs depend on neither scale nor binary
+//!   variant, so the name alone rebuilds the image
+//!   ([`wishbranch_workloads::input_generator`]). A rebuilt image whose
+//!   fingerprint differs (its generator changed since the entry was
+//!   written), an unknown benchmark or a bad input tag make the entry read
+//!   as absent. An entry without `image` is taken against the empty image
+//!   ([`encode_entry`] writes these).
 //! * `data` — the whole [`RunOutcome`] flattened into one integer array
 //!   (every journaled quantity is an integer: counters, registers,
-//!   predicate bits, memory words). The layout is fixed by
-//!   [`encode_outcome`]; [`decode_outcome`] validates section lengths and
-//!   rejects anything malformed.
+//!   predicate bits, memory words). Its memory section is the *delta*:
+//!   only the words of `final_mem` that differ from the image, which is
+//!   the handful of words the program writes rather than the thousands of
+//!   words of its input. Decoding overlays the delta on the rebuilt image
+//!   (`MemImage::overlay`), so the decoded `final_mem` is the full map,
+//!   bit-identical to the simulated one. The reader validates section
+//!   lengths and rejects anything malformed.
 //!
 //! Failed jobs are deliberately **not** journaled: on resume they re-run
 //! (a transient fault heals; a deterministic one re-reports).
@@ -53,31 +71,91 @@
 //! version or section lengths do not match. A corrupt journal therefore
 //! degrades to re-running jobs, never to a failed resume.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io::{BufRead, Write as _};
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::experiment::RunOutcome;
 use wishbranch_compiler::CompileReport;
+use wishbranch_isa::exec::{merge_by_address, MemImage};
 use wishbranch_isa::{StaticStats, NUM_GPRS, NUM_PREDS};
 use wishbranch_mem::CacheStats;
 use wishbranch_uarch::{CycleAccounting, HotSiteCounts, SimResult, SimStats, WishClassCounts};
+use wishbranch_workloads::{input_generator, InputSet};
 
 /// Schema tag written on the journal's header line.
 pub const JOURNAL_SCHEMA: &str = "wishbranch.journal/v1";
 
-/// Payload layout version of the `data` array.
-const LAYOUT_VERSION: u64 = 3;
+/// Payload layout version this codec writes: `final_mem` as a delta
+/// against a named input image.
+const LAYOUT_VERSION: u64 = 4;
+
+/// The older layout that still reads: `final_mem` stored whole, which is
+/// the version-4 layout against the empty image.
+const LAYOUT_WHOLE_MEMORY: u64 = 3;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a 64-bit over a byte string — the journal's job-key hash.
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    bytes
+        .iter()
+        .fold(FNV_OFFSET, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// The fingerprint a layout-4 entry names its input image by: FNV-1a-64
+/// stepped over each word's address and value as whole 64-bit units, in
+/// address order. Any single changed word changes it.
+fn image_fingerprint(image: &MemImage) -> u64 {
+    image.words().iter().fold(FNV_OFFSET, |h, &(addr, val)| {
+        let h = (h ^ addr).wrapping_mul(FNV_PRIME);
+        (h ^ val as u64).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// The input image a job ran on, named the way a layout-4 entry names
+/// it: the benchmark and input set whose generator
+/// ([`wishbranch_workloads::input_generator`]) rebuilds it.
+#[derive(Clone, Copy, Debug)]
+pub struct InputImage<'a> {
+    /// The benchmark's name.
+    pub bench: &'a str,
+    /// The input set.
+    pub input: InputSet,
+    /// The image itself, as the job's simulation was preloaded with it.
+    pub image: &'a MemImage,
+}
+
+fn input_tag(input: InputSet) -> &'static str {
+    match input {
+        InputSet::A => "A",
+        InputSet::B => "B",
+        InputSet::C => "C",
     }
-    hash
+}
+
+fn parse_input_tag(tag: &str) -> Option<InputSet> {
+    InputSet::ALL.into_iter().find(|&i| input_tag(i) == tag)
+}
+
+/// The words of `mem` that differ from `image` (or that the image lacks),
+/// in address order; `None` when `mem` lacks a word the image has, so
+/// overlaying a delta on the image could not rebuild it.
+fn memory_delta(image: &MemImage, mem: &BTreeMap<u64, i64>) -> Option<Vec<(u64, i64)>> {
+    let mut delta = Vec::new();
+    for (addr, base, word) in
+        merge_by_address(image.words().iter().copied(), mem.iter().map(|(&a, &v)| (a, v)))
+    {
+        let word = word?;
+        if base != Some(word) {
+            delta.push((addr, word));
+        }
+    }
+    Some(delta)
 }
 
 fn push_wish(out: &mut Vec<i128>, w: &WishClassCounts) {
@@ -93,11 +171,12 @@ fn push_cache(out: &mut Vec<i128>, c: &CacheStats) {
     out.extend([i128::from(c.hits), i128::from(c.misses), i128::from(c.probes)]);
 }
 
-/// Flattens a [`RunOutcome`] into the version-3 integer layout.
-#[must_use]
-pub fn encode_outcome(o: &RunOutcome) -> Vec<i128> {
+/// Flattens a [`RunOutcome`] into the integer layout, with `mem` (the
+/// words of `final_mem` not already in the entry's input image) as its
+/// memory section.
+fn encode_outcome(o: &RunOutcome, mem: impl ExactSizeIterator<Item = (u64, i64)>) -> Vec<i128> {
     let s = &o.sim.stats;
-    let mut out: Vec<i128> = Vec::with_capacity(192 + 4 * s.hot_sites.len() + 2 * o.sim.final_mem.len());
+    let mut out: Vec<i128> = Vec::with_capacity(192 + 4 * s.hot_sites.len() + 2 * mem.len());
     for v in [
         s.cycles,
         s.retired_uops,
@@ -169,8 +248,8 @@ pub fn encode_outcome(o: &RunOutcome) -> Vec<i128> {
     push_cache(&mut out, &s.l2);
     out.extend(o.sim.final_regs.iter().map(|&r| i128::from(r)));
     out.extend(o.sim.final_preds.iter().map(|&p| i128::from(p)));
-    out.push(o.sim.final_mem.len() as i128);
-    for (&addr, &val) in &o.sim.final_mem {
+    out.push(mem.len() as i128);
+    for (addr, val) in mem {
         out.extend([i128::from(addr), i128::from(val)]);
     }
     out.extend([
@@ -232,11 +311,10 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Rebuilds a [`RunOutcome`] from the version-3 integer layout. Returns
-/// `None` on any length or range mismatch (the caller treats the entry as
-/// absent and re-runs the job).
-#[must_use]
-pub fn decode_outcome(data: &[i128]) -> Option<RunOutcome> {
+/// Rebuilds a [`RunOutcome`] from the integer layout, overlaying its
+/// memory section on `image`. Returns `None` on any length or range
+/// mismatch (the caller treats the entry as absent and re-runs the job).
+fn decode_outcome(data: &[i128], image: &MemImage) -> Option<RunOutcome> {
     let mut c = Cursor { data, pos: 0 };
     let mut s = SimStats::default();
     s.cycles = c.u64()?;
@@ -315,12 +393,17 @@ pub fn decode_outcome(data: &[i128]) -> Option<RunOutcome> {
         };
     }
     let nmem = c.usize()?;
-    let mut final_mem = std::collections::BTreeMap::new();
+    let mut written = BTreeMap::new();
     for _ in 0..nmem {
         let addr = c.u64()?;
         let val = c.i64()?;
-        final_mem.insert(addr, val);
+        written.insert(addr, val);
     }
+    let final_mem = if image.words().is_empty() {
+        written
+    } else {
+        image.overlay(&written).collect()
+    };
     let report = CompileReport {
         regions_predicated: c.usize()?,
         regions_wish: c.usize()?,
@@ -351,38 +434,94 @@ pub fn decode_outcome(data: &[i128]) -> Option<RunOutcome> {
     })
 }
 
-/// Serializes one journal record line (no trailing newline).
+/// Serializes one journal record line (no trailing newline) against the
+/// empty image: the entry holds `final_mem` whole. This is
+/// [`encode_entry_on`] with no input image, and decodes without one.
 #[must_use]
 pub fn encode_entry(key: u64, outcome: &RunOutcome) -> String {
-    let data: Vec<String> = encode_outcome(outcome).iter().map(i128::to_string).collect();
-    format!(
-        "{{\"key\":{key},\"v\":{LAYOUT_VERSION},\"data\":[{}]}}",
-        data.join(",")
-    )
+    encode_entry_on(key, outcome, None)
 }
 
-/// Parses one journal line. Returns `None` for the header, malformed or
-/// truncated lines, and unknown layout versions.
+/// Serializes one layout-4 journal record line (no trailing newline).
+/// With an input image, the entry names it (benchmark, input set and a
+/// fingerprint of the image's words) and stores only the words of
+/// `final_mem` that differ from it. A `final_mem` that is not an overlay
+/// of the image (it lacks one of the image's words), or a benchmark name
+/// that is not a plain identifier, is encoded against the empty image
+/// instead, so every outcome encodes.
+#[must_use]
+pub fn encode_entry_on(key: u64, outcome: &RunOutcome, input: Option<InputImage<'_>>) -> String {
+    let mem = &outcome.sim.final_mem;
+    let against = input
+        .filter(|i| !i.bench.is_empty() && i.bench.bytes().all(|b| b.is_ascii_alphanumeric()))
+        .and_then(|i| Some((i, memory_delta(i.image, mem)?)));
+    let mut line = format!("{{\"key\":{key},\"v\":{LAYOUT_VERSION},");
+    let data = match against {
+        Some((i, delta)) => {
+            let _ = write!(
+                line,
+                "\"image\":{{\"bench\":\"{}\",\"input\":\"{}\",\"fnv\":{}}},",
+                i.bench,
+                input_tag(i.input),
+                image_fingerprint(i.image)
+            );
+            encode_outcome(outcome, delta.into_iter())
+        }
+        None => encode_outcome(outcome, mem.iter().map(|(&a, &v)| (a, v))),
+    };
+    line.push_str("\"data\":[");
+    for (n, v) in data.iter().enumerate() {
+        if n > 0 {
+            line.push(',');
+        }
+        let _ = write!(line, "{v}");
+    }
+    line.push_str("]}");
+    line
+}
+
+/// The input image a layout-4 entry names, rebuilt from its generator.
+/// `None` for an unknown benchmark, a bad input tag, or an image whose
+/// fingerprint no longer matches (its generator changed since the entry
+/// was written).
+fn named_image(bench: &str, input: &str, fingerprint: u64) -> Option<MemImage> {
+    let generate = input_generator(bench)?;
+    let image = MemImage::from_preload(generate(parse_input_tag(input)?));
+    (image_fingerprint(&image) == fingerprint).then_some(image)
+}
+
+/// Parses one journal line, rebuilding a layout-4 entry's named input
+/// image from [`wishbranch_workloads`]. Returns `None` for the header,
+/// malformed or truncated lines, unknown layout versions (1 and 2
+/// included: their jobs re-run), and layout-4 entries whose image cannot
+/// be rebuilt bit-identically (see [`encode_entry_on`]).
 #[must_use]
 pub fn decode_entry(line: &str) -> Option<(u64, RunOutcome)> {
     let rest = line.trim().strip_prefix("{\"key\":")?;
-    let comma = rest.find(',')?;
-    let key: u64 = rest[..comma].parse().ok()?;
-    let rest = rest[comma + 1..].strip_prefix("\"v\":")?;
-    let comma = rest.find(',')?;
-    let version: u64 = rest[..comma].parse().ok()?;
-    if version != LAYOUT_VERSION {
+    let (key, rest) = rest.split_once(',')?;
+    let key: u64 = key.parse().ok()?;
+    let (version, mut rest) = rest.strip_prefix("\"v\":")?.split_once(',')?;
+    let version: u64 = version.parse().ok()?;
+    let mut image = MemImage::default();
+    if version == LAYOUT_VERSION {
+        if let Some(named) = rest.strip_prefix("\"image\":{\"bench\":\"") {
+            let (bench, named) = named.split_once('"')?;
+            let (input, named) = named.strip_prefix(",\"input\":\"")?.split_once('"')?;
+            let (fingerprint, named) = named.strip_prefix(",\"fnv\":")?.split_once('}')?;
+            image = named_image(bench, input, fingerprint.parse().ok()?)?;
+            rest = named.strip_prefix(',')?;
+        }
+    } else if version != LAYOUT_WHOLE_MEMORY {
         return None;
     }
-    let rest = rest[comma + 1..].strip_prefix("\"data\":[")?;
-    let rest = rest.strip_suffix("]}")?;
+    let rest = rest.strip_prefix("\"data\":[")?.strip_suffix("]}")?;
     let mut data = Vec::new();
     if !rest.is_empty() {
         for item in rest.split(',') {
             data.push(item.parse::<i128>().ok()?);
         }
     }
-    let outcome = decode_outcome(&data)?;
+    let outcome = decode_outcome(&data, &image)?;
     Some((key, outcome))
 }
 
@@ -468,15 +607,16 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// Loads every parseable record from a journal file. A later record for
-/// the same key wins (duplicates can arise when a shared job ran in a
+/// Loads every parseable record from a journal file: each key's decoded
+/// outcome and the entry line it was read from. A later record for the
+/// same key wins (duplicates can arise when a shared job ran in a
 /// previous, partially journaled sweep). A missing file is an empty map.
 ///
 /// # Errors
 ///
 /// Only genuine I/O failures (permission, disk) error; unparseable
 /// content is skipped, per the robustness contract above.
-pub fn load(path: &Path) -> std::io::Result<HashMap<u64, RunOutcome>> {
+pub fn load(path: &Path) -> std::io::Result<HashMap<u64, (RunOutcome, Arc<str>)>> {
     let mut map = HashMap::new();
     let file = match std::fs::File::open(path) {
         Ok(f) => f,
@@ -486,7 +626,7 @@ pub fn load(path: &Path) -> std::io::Result<HashMap<u64, RunOutcome>> {
     for line in std::io::BufReader::new(file).lines() {
         let line = line?;
         if let Some((key, outcome)) = decode_entry(&line) {
-            map.insert(key, outcome);
+            map.insert(key, (outcome, Arc::from(line.trim())));
         }
     }
     Ok(map)
@@ -538,13 +678,15 @@ impl JournalWriter {
         Ok(JournalWriter { file })
     }
 
-    /// Appends one completed job and flushes.
+    /// Appends one completed job's entry line (as [`encode_entry_on`]
+    /// wrote it, or as read back from a store) and flushes.
     ///
     /// # Errors
     ///
     /// I/O errors writing the line.
-    pub fn append(&mut self, key: u64, outcome: &RunOutcome) -> std::io::Result<()> {
-        writeln!(self.file, "{}", encode_entry(key, outcome))?;
+    pub fn append(&mut self, entry: &str) -> std::io::Result<()> {
+        // One write per line, so a kill tears at most this line.
+        self.file.write_all(format!("{entry}\n").as_bytes())?;
         self.file.flush()
     }
 }
@@ -613,6 +755,89 @@ mod tests {
         assert_eq!(back, outcome);
     }
 
+    /// `sample_outcome` as if it ran on crafty's input A: the image
+    /// overlaid by two written words, one of them shadowing an input word.
+    fn image_backed_outcome() -> (MemImage, RunOutcome) {
+        let generate = input_generator("crafty").expect("suite benchmark");
+        let image = MemImage::from_preload(generate(InputSet::A));
+        let (first, value) = image.words()[0];
+        let writes = BTreeMap::from([(first, value.wrapping_add(1)), (8, -5)]);
+        let mut outcome = sample_outcome();
+        outcome.sim.final_mem = image.overlay(&writes).collect();
+        (image, outcome)
+    }
+
+    fn crafty_a(image: &MemImage) -> Option<InputImage<'_>> {
+        Some(InputImage {
+            bench: "crafty",
+            input: InputSet::A,
+            image,
+        })
+    }
+
+    #[test]
+    fn image_backed_entry_stores_the_delta_and_round_trips() {
+        let (image, outcome) = image_backed_outcome();
+        let line = encode_entry_on(5, &outcome, crafty_a(&image));
+        let fingerprint = image_fingerprint(&image);
+        let head = format!(
+            "{{\"key\":5,\"v\":4,\"image\":{{\"bench\":\"crafty\",\"input\":\"A\",\"fnv\":{fingerprint}}},"
+        );
+        assert!(line.starts_with(&head), "{line}");
+        let whole = encode_entry(5, &outcome);
+        assert!(line.len() * 10 < whole.len(), "delta {} vs whole {}", line.len(), whole.len());
+        assert_eq!(decode_entry(&line), Some((5, outcome)));
+    }
+
+    #[test]
+    fn stale_or_unknown_image_reads_as_absent() {
+        let (image, outcome) = image_backed_outcome();
+        let line = encode_entry_on(5, &outcome, crafty_a(&image));
+        let fingerprint = image_fingerprint(&image);
+        let stale = line.replace(
+            &format!("\"fnv\":{fingerprint}}}"),
+            &format!("\"fnv\":{}}}", fingerprint ^ 1),
+        );
+        let unknown = line.replace("\"bench\":\"crafty\"", "\"bench\":\"craftz\"");
+        let bad_tag = line.replace("\"input\":\"A\"", "\"input\":\"D\"");
+        let other_input = line.replace("\"input\":\"A\"", "\"input\":\"B\"");
+        let as_v3 = line.replace("\"v\":4,", "\"v\":3,");
+        for bad in [stale, unknown, bad_tag, other_input, as_v3] {
+            assert_ne!(bad, line);
+            assert_eq!(decode_entry(&bad), None, "{}", &bad[..120]);
+        }
+    }
+
+    #[test]
+    fn non_overlay_memory_is_encoded_against_the_empty_image() {
+        let (image, mut outcome) = image_backed_outcome();
+        let dropped = image.words()[1].0;
+        outcome.sim.final_mem.remove(&dropped);
+        let line = encode_entry_on(5, &outcome, crafty_a(&image));
+        assert_eq!(line, encode_entry(5, &outcome));
+        assert!(line.starts_with("{\"key\":5,\"v\":4,\"data\":["));
+        assert_eq!(decode_entry(&line), Some((5, outcome.clone())));
+        // A name that cannot be written as-is falls back the same way.
+        let odd = InputImage {
+            bench: "cr\"afty",
+            input: InputSet::A,
+            image: &image,
+        };
+        let (_, outcome) = image_backed_outcome();
+        assert_eq!(encode_entry_on(5, &outcome, Some(odd)), encode_entry(5, &outcome));
+    }
+
+    #[test]
+    fn layout3_lines_read_and_older_layouts_do_not() {
+        let outcome = sample_outcome();
+        let v4 = encode_entry(9, &outcome);
+        let v3 = v4.replace("\"v\":4,", "\"v\":3,");
+        assert_eq!(decode_entry(&v3), Some((9, outcome)));
+        for v in [1, 2, 5] {
+            assert_eq!(decode_entry(&v4.replace("\"v\":4,", &format!("\"v\":{v},"))), None);
+        }
+    }
+
     #[test]
     fn corrupt_and_foreign_lines_are_skipped() {
         assert!(decode_entry(&header_line(42)).is_none());
@@ -636,10 +861,10 @@ mod tests {
         let mut outcome = sample_outcome();
         {
             let mut w = JournalWriter::open(&path, 42).unwrap();
-            w.append(1, &outcome).unwrap();
+            w.append(&encode_entry(1, &outcome)).unwrap();
             outcome.sim.stats.cycles = 999;
-            w.append(1, &outcome).unwrap();
-            w.append(2, &sample_outcome()).unwrap();
+            w.append(&encode_entry(1, &outcome)).unwrap();
+            w.append(&encode_entry(2, &sample_outcome())).unwrap();
         }
         // Simulate a kill mid-write: a torn trailing line.
         {
@@ -649,7 +874,8 @@ mod tests {
         }
         let map = load(&path).unwrap();
         assert_eq!(map.len(), 2);
-        assert_eq!(map[&1].sim.stats.cycles, 999, "last duplicate wins");
+        assert_eq!(map[&1].0.sim.stats.cycles, 999, "last duplicate wins");
+        assert_eq!(&*map[&2].1, encode_entry(2, &sample_outcome()), "the line as read");
         assert!(map.get(&3).is_none(), "torn line skipped");
         let first = std::fs::read_to_string(&path).unwrap();
         assert!(first.starts_with(&header_line(42)));

@@ -14,7 +14,8 @@
 //! → {"schema":"wishbranch.request/v1","tenant":"alice","experiments":["fig10"],...}
 //! ← {"schema":"wishbranch.response/v1","type":"accepted","tenant":"alice","fingerprint":123}
 //! ← {"schema":"wishbranch.response/v1","type":"job","experiment":"fig10","key":K,
-//!    "entry":{"key":K,"v":2,"data":[...]}}        (one per job, as it lands)
+//!    "entry":{"key":K,"v":4,"image":{"bench":"gzip","input":"A","fnv":F},
+//!             "data":[...]}}                     (one per job, as it lands)
 //! ← {"schema":"wishbranch.response/v1","type":"report","experiment":"fig10",
 //!    "report":{"schema":"wishbranch.report/v1",...}}
 //! ← {"schema":"wishbranch.response/v1","type":"done","jobs":N,...,"failures":[...]}
@@ -22,9 +23,14 @@
 //!
 //! A refused request gets a single `rejected` line (typed `kind` +
 //! human-readable `reason`) and the connection closes. Each `job` line
-//! embeds a verbatim `wishbranch.journal/v1` entry, so clients reuse the
-//! journal codec ([`journal::decode_entry`](crate::journal::decode_entry))
-//! to recover full bit-identical [`RunOutcome`](crate::RunOutcome)s.
+//! embeds a verbatim `wishbranch.journal/v1` entry — the very bytes the
+//! worker wrote to its journal and the store, or read back from them on a
+//! hit — so clients reuse the journal codec
+//! ([`journal::decode_entry`](crate::journal::decode_entry)) to recover
+//! full bit-identical [`RunOutcome`](crate::RunOutcome)s. A layout-4
+//! entry carries only the memory words the job changed and names its
+//! input image; decoding rebuilds that image from `wishbranch-workloads`
+//! (the client needs no simulator state) and checks its fingerprint.
 //!
 //! ## Sharding and crash recovery
 //!
@@ -998,10 +1004,13 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
     let completed = AtomicU64::new(0);
     let hb = Arc::clone(&hb_alive);
     runner.set_observer(Arc::new(move |key, result| {
+        // The journal is attached, so the engine hands over the entry it
+        // already wrote (or read back on a hit) and nothing is re-encoded.
+        let entry = (result.entry.clone())
+            .unwrap_or_else(|| encode_entry(key, &result.outcome).into());
         let line = format!(
-            "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"{}\",\"key\":{key},\"entry\":{}}}",
+            "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"{}\",\"key\":{key},\"entry\":{entry}}}",
             json_escape(&lock(&label)),
-            encode_entry(key, &result.outcome)
         );
         let index = completed.fetch_add(1, Ordering::SeqCst);
         match chaos.fault_at(index) {
@@ -1112,8 +1121,11 @@ pub enum ResponseLine {
         experiment: String,
         /// The job's stable key ([`SweepRunner::job_key`](crate::SweepRunner::job_key)).
         key: u64,
-        /// The verbatim `wishbranch.journal/v1` entry (decode with
-        /// [`journal::decode_entry`](crate::journal::decode_entry)).
+        /// The verbatim `wishbranch.journal/v1` entry, e.g.
+        /// `{"key":K,"v":4,"image":{"bench":"gzip","input":"A","fnv":F},"data":[...]}`.
+        /// Decode with [`journal::decode_entry`](crate::journal::decode_entry),
+        /// which rebuilds the named input image from `wishbranch-workloads`
+        /// and overlays the entry's memory delta on it.
         entry: String,
     },
     /// One experiment's finished `wishbranch.report/v1` document.

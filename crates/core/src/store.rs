@@ -20,13 +20,25 @@
 //!     abcdef0123456789.json     # one journal-format entry line
 //! ```
 //!
-//! Each file holds exactly one `wishbranch.journal/v1` entry line
-//! ([`journal::encode_entry`](crate::journal::encode_entry)), so the
-//! store and the journal share one codec and one versioning story.
+//! Each file holds exactly one `wishbranch.journal/v1` entry line, so the
+//! store and the journal share one codec and one versioning story. A
+//! job that ran here is stored in layout 4 as the engine encoded it
+//! once for the journal, the store and the served `job` line alike: its
+//! input image named by benchmark, input set and fingerprint, and only
+//! the words of `final_mem` that differ from that image (about a
+//! kilobyte, against some 87 KB for the whole map). [`put`](ArtifactStore::put)
+//! of a bare outcome writes one against the empty image
+//! ([`journal::encode_entry`](crate::journal::encode_entry)). Layout-3
+//! entries still read. A hit hands back the bytes it read
+//! ([`get_entry`](ArtifactStore::get_entry)) so they are passed on
+//! verbatim, never re-encoded.
+//!
 //! Writes go through a same-directory temp file + atomic rename, so a
 //! concurrent reader sees either nothing or a complete entry — never a
-//! torn file. Unreadable or mismatched entries are treated as absent
-//! (the store is a cache; the journal is the ledger).
+//! torn file. Unreadable or mismatched entries — including a layout-4
+//! entry whose named image no longer rebuilds to its fingerprint — are
+//! treated as absent and quarantined (the store is a cache; the journal
+//! is the ledger).
 
 use std::fs;
 use std::io;
@@ -91,15 +103,29 @@ impl ArtifactStore {
     /// original address.
     #[must_use]
     pub fn get(&self, key: u64) -> Option<RunOutcome> {
+        self.get_entry(key).map(|(outcome, _)| outcome)
+    }
+
+    /// [`get`](Self::get), also returning the entry line exactly as
+    /// stored, so a hit can pass the same bytes on to a journal or a
+    /// response stream.
+    #[must_use]
+    pub fn get_entry(&self, key: u64) -> Option<(RunOutcome, String)> {
         let path = self.path_for(key);
-        let text = fs::read_to_string(&path).ok()?;
-        match decode_entry(text.trim_end()) {
-            Some((stored_key, outcome)) if stored_key == key => Some(outcome),
-            _ => {
-                self.quarantine(&path);
-                None
+        let bytes = fs::read(&path).ok()?;
+        let decoded = String::from_utf8(bytes).ok().and_then(|text| {
+            let line = text.trim_end();
+            match decode_entry(line) {
+                Some((stored_key, outcome)) if stored_key == key => {
+                    Some((outcome, line.to_string()))
+                }
+                _ => None,
             }
+        });
+        if decoded.is_none() {
+            self.quarantine(&path);
         }
+        decoded
     }
 
     /// Moves a corrupt entry aside (best effort — a racing writer may
@@ -118,24 +144,39 @@ impl ArtifactStore {
     }
 
     /// Stores `outcome` under `key`, atomically (temp file + rename in
-    /// the destination directory). Last writer wins; since addresses are
-    /// content-derived, racing writers are writing identical bytes.
+    /// the destination directory), encoded against the empty image
+    /// ([`encode_entry`]). Last writer wins; since addresses are
+    /// content-derived, racing writers are writing identical outcomes.
     ///
     /// # Errors
     ///
     /// I/O errors creating the fan-out directory or writing the file.
     pub fn put(&self, key: u64, outcome: &RunOutcome) -> io::Result<()> {
+        self.put_entry(key, &encode_entry(key, outcome))
+    }
+
+    /// Stores an already encoded entry line under `key`, the way
+    /// [`put`](Self::put) stores an outcome: the engine encodes each job
+    /// once and writes the same bytes here and to its journal.
+    ///
+    /// # Errors
+    ///
+    /// As [`put`](Self::put).
+    pub fn put_entry(&self, key: u64, entry: &str) -> io::Result<()> {
         let dest = self.path_for(key);
-        let dir = dest.parent().expect("store paths always have a parent");
+        let dir = dest.parent().ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("store path {} has no parent directory", dest.display()),
+            )
+        })?;
         fs::create_dir_all(dir)?;
         let temp = dir.join(format!(
             ".{key:016x}.{}.{}.tmp",
             std::process::id(),
             TEMP_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
-        let mut line = encode_entry(key, outcome);
-        line.push('\n');
-        fs::write(&temp, line)?;
+        fs::write(&temp, format!("{entry}\n"))?;
         match fs::rename(&temp, &dest) {
             Ok(()) => Ok(()),
             Err(e) => {
@@ -216,11 +257,7 @@ mod tests {
         assert!(store.get(key).is_none());
         store.put(key, &outcome).unwrap();
         let back = store.get(key).expect("stored outcome");
-        assert_eq!(
-            crate::journal::encode_outcome(&back),
-            crate::journal::encode_outcome(&outcome),
-            "store round trip must be bit-identical"
-        );
+        assert_eq!(back, outcome, "store round trip must be bit-identical");
         assert_eq!(store.len(), 1);
         let _ = fs::remove_dir_all(&root);
     }
@@ -250,12 +287,38 @@ mod tests {
         // The next fresh execution rewrites the original address cleanly.
         store.put(key, &outcome).unwrap();
         let back = store.get(key).expect("rewritten entry");
-        assert_eq!(
-            crate::journal::encode_outcome(&back),
-            crate::journal::encode_outcome(&outcome),
-            "rewrite after quarantine must be bit-identical"
-        );
+        assert_eq!(back, outcome, "rewrite after quarantine must be bit-identical");
         assert!(aside.exists(), "rewrite leaves the quarantined copy for forensics");
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn entry_naming_an_unrebuildable_image_is_quarantined_and_rewritten() {
+        let root = temp_root("image");
+        let store = std::sync::Arc::new(ArtifactStore::open(&root).unwrap());
+        let ec = ExperimentConfig::quick(20);
+        let mut runner = SweepRunner::with_workers(&ec, 1);
+        runner.attach_store(std::sync::Arc::clone(&store));
+        let job = SweepJob::standard(0, BinaryVariant::NormalBranch, InputSet::A, &ec);
+        let key = runner.job_key(&job);
+        let done = runner.try_run(vec![job]).pop().unwrap().expect("quick job runs");
+        let entry = done.entry.expect("a store-backed runner encodes its entries");
+        let fnv = entry.split("\"fnv\":").nth(1).and_then(|t| t.split('}').next()).unwrap();
+        let bad = [
+            entry.replace(&format!("\"fnv\":{fnv}}}"), "\"fnv\":1}"),
+            entry.replace("\"bench\":\"gzip\"", "\"bench\":\"gzipx\""),
+            entry.replace("\"input\":\"A\"", "\"input\":\"Z\""),
+        ];
+        for (n, bad) in bad.iter().enumerate() {
+            assert_ne!(bad, &*entry);
+            store.put_entry(key, bad).unwrap();
+            assert!(store.get(key).is_none(), "{}", &bad[..100]);
+            assert_eq!(store.quarantined(), n as u64 + 1);
+            assert!(!store.path_for(key).exists(), "the entry must move aside");
+            // The next fresh execution rewrites the address cleanly.
+            store.put_entry(key, &entry).unwrap();
+            assert_eq!(store.get(key), Some(done.outcome.clone()));
+        }
         let _ = fs::remove_dir_all(&root);
     }
 }

@@ -793,6 +793,17 @@ mod tests {
     }
 
     #[test]
+    fn input_generator_names_each_benchmarks_inputs_at_any_scale() {
+        for b in suite(37) {
+            let gen = crate::input_generator(b.name).expect("suite benchmark");
+            for set in InputSet::ALL {
+                assert_eq!(gen(set), (b.input_fn)(set), "{} {set}", b.name);
+            }
+        }
+        assert!(crate::input_generator("spec").is_none());
+    }
+
+    #[test]
     fn inputs_are_deterministic() {
         let b = gzip(10);
         assert_eq!((b.input_fn)(InputSet::B), (b.input_fn)(InputSet::B));

@@ -74,6 +74,10 @@ impl std::fmt::Display for InputSet {
     }
 }
 
+/// Generates a benchmark's initial data memory, `(address, value)`
+/// words, for an input set.
+pub type InputGenerator = fn(InputSet) -> Vec<(u64, i64)>;
+
 /// A benchmark: an IR program plus its input generator.
 pub struct Benchmark {
     /// Short name (matches the SPEC benchmark it models).
@@ -83,7 +87,7 @@ pub struct Benchmark {
     /// One-line description of the modeled behaviour.
     pub behavior: &'static str,
     /// Generates the initial data memory for an input set.
-    pub input_fn: fn(InputSet) -> Vec<(u64, i64)>,
+    pub input_fn: InputGenerator,
 }
 
 impl std::fmt::Debug for Benchmark {
@@ -111,4 +115,18 @@ pub fn suite(scale: i32) -> Vec<Benchmark> {
         bzip2(scale),
         twolf(scale),
     ]
+}
+
+/// The input generator of the suite benchmark named `name`, if there is
+/// one. A benchmark's inputs depend on neither its scale nor its binary,
+/// so a persisted outcome can name its input image by benchmark and input
+/// set alone and rebuild it from here.
+#[must_use]
+pub fn input_generator(name: &str) -> Option<InputGenerator> {
+    static TABLE: std::sync::OnceLock<Vec<(&str, InputGenerator)>> = std::sync::OnceLock::new();
+    TABLE
+        .get_or_init(|| suite(1).into_iter().map(|b| (b.name, b.input_fn)).collect())
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, f)| f)
 }
