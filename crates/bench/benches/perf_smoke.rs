@@ -1,17 +1,16 @@
 //! The `perf-smoke` throughput gate: runs the Fig. 10 sweep at a fixed
-//! scale on one worker twice — once at batch width 1 (every job alone on
-//! one lane of the engine, through `Simulator`), once at width 8 (jobs
-//! that share a binary run as lanes of one `BatchSimulator`) — writes
+//! scale on one worker twice — once at batch width 1 (every job its own
+//! scheduling unit), once at width 8 (jobs that share a binary grouped
+//! into units one worker runs back to back) — writes
 //! `BENCH_sim_throughput.json` (`wishbranch.throughput/v1` for the
 //! width-1 run plus the flat `batch_uops_per_sec` / `batch_width` /
 //! `batch_speedup` dimension from the width-8 run), and fails if either
 //! run's simulator throughput regressed more than [`MAX_REGRESSION`]
 //! against the committed baseline (`crates/bench/perf_baseline.json`).
 //!
-//! Both runs use the same out-of-order engine, so `batch_speedup` is
-//! width 8 against one lane: it measures what lockstep batching (shared
-//! decode, round locality) adds on top of the lane layout, not a second
-//! engine against the first.
+//! Both runs simulate every job alone on one lane of the same engine;
+//! width 8 only changes the order a worker takes jobs in, so
+//! `batch_speedup` is expected to stay near 1.0.
 //!
 //! Environment:
 //! - `WISHBRANCH_THROUGHPUT_OUT` — where to write the artifact
@@ -26,9 +25,7 @@ use wishbranch_core::{throughput_json, Experiment, ExperimentConfig, SweepRunner
 /// process noise, small enough for a smoke job.
 const SCALE: i32 = 1000;
 
-/// Lockstep lanes for the batched measurement (one Fig. 10 compile group
-/// is 9 benches wide at default width, so 8 leaves one straggler to run
-/// alone — the same shape real sweeps see).
+/// Batch width for the batched measurement (jobs per same-binary group).
 const BATCH: usize = 8;
 
 /// Allowed throughput loss vs the committed baseline (the ISSUE's 25%).
@@ -94,7 +91,7 @@ fn main() {
     std::fs::write(&out, format!("{doc}\n")).unwrap_or_else(|e| panic!("cannot write {out}: {e}"));
     println!(
         "perf-smoke: {} jobs, one lane {:.0} uops/s (simulate {:.2}s) | \
-         batch={BATCH} {:.0} uops/s (simulate {:.2}s, {} lanes batched) | \
+         batch={BATCH} {:.0} uops/s (simulate {:.2}s, {} jobs batched) | \
          speedup {speedup:.2}x -> {out}",
         single.jobs,
         s_uops,

@@ -60,7 +60,7 @@ use crate::store::ArtifactStore;
 use wishbranch_compiler::{compile, compile_adaptive, BinaryVariant, CompileOptions, CompiledBinary};
 use wishbranch_ir::Profile;
 use wishbranch_isa::exec::MemImage;
-use wishbranch_uarch::{BatchLaneSpec, BatchSimulator, MachineConfig, SimError, SimScratch};
+use wishbranch_uarch::{MachineConfig, SimScratch};
 use wishbranch_workloads::{suite, Benchmark, InputSet};
 
 /// Environment variable overriding the worker count.
@@ -192,14 +192,22 @@ struct CompileKey {
     options: OptionsKey,
 }
 
-/// One unit of worker-pool scheduling: a single job (simulated alone on
-/// one lane, through [`wishbranch_uarch::Simulator`]), or a group of
-/// compatible jobs (same compiled binary) simulated in lockstep by one
-/// [`BatchSimulator`]. Values are positions into the `try_run` job slice.
-enum WorkUnit {
-    Single(usize),
-    Batch(Vec<usize>),
+impl CompileKey {
+    fn of(job: &SweepJob) -> CompileKey {
+        CompileKey {
+            bench: job.bench,
+            variant: job.variant,
+            train: job.train.clone(),
+            options: OptionsKey::new(&job.compile),
+        }
+    }
 }
+
+/// One unit of worker-pool scheduling: positions into the `try_run` job
+/// slice, run one after another by one worker on its recycled
+/// [`SimScratch`]. With batching on, a unit is a group of jobs sharing a
+/// compiled binary; otherwise it is one job.
+type WorkUnit = Vec<usize>;
 
 /// The result of one job, in submission order.
 #[derive(Clone, Debug)]
@@ -229,12 +237,13 @@ pub struct JobResult {
     pub entry: Option<Arc<str>>,
 }
 
-/// Per-phase wall-clock breakdown of one job. `acquire` covers the
-/// binary-cache lookup, including any profiling and compilation it
-/// triggered (zero-ish on a cache hit); `simulate` is the cycle
-/// simulation, including building the job's input image and, in oracle
-/// mode, the lockstep replay; `verify` is the functional-reference
-/// cross-check alone.
+/// Per-phase wall-clock breakdown of one job, measured on that job alone
+/// whether or not it ran in a group. `acquire` covers the binary-cache
+/// lookup, including any profiling and compilation it triggered
+/// (zero-ish on a cache hit); `simulate` is the cycle simulation,
+/// including building the job's input image and, in oracle mode, the
+/// lockstep replay; `verify` is the functional-reference cross-check
+/// alone.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct JobPhases {
     /// Binary acquisition: cache lookup + (on miss) profile + compile.
@@ -295,12 +304,12 @@ pub struct SweepSummary {
     pub sim_cycles: u64,
     /// Retired µops across all executed jobs (journal hits excluded).
     pub sim_uops: u64,
-    /// Configured batch width (lanes per [`wishbranch_uarch::BatchSimulator`]
-    /// group); `1` means every job is simulated alone.
+    /// Configured batch width (most jobs per same-binary group); `1`
+    /// means no grouping.
     pub batch_size: usize,
-    /// Jobs executed as lanes of a lockstep batch (subset of `jobs`;
-    /// singleton groups and fault-injected jobs are simulated alone and
-    /// are not counted here).
+    /// Fresh successes that ran inside a same-binary group of two or more
+    /// (subset of `jobs`; journal and store hits and singleton groups are
+    /// not counted).
     pub batched_jobs: u64,
 }
 
@@ -388,13 +397,13 @@ pub struct SweepRunner {
     /// Lockstep-oracle mode (`--oracle`): every job's retired stream is
     /// replayed through [`wishbranch_isa::LockstepOracle`].
     oracle: bool,
-    /// Batch width for lockstep simulation (`--batch`); `1` disables
-    /// batching entirely.
+    /// Batch width (`--batch`): the most jobs per same-binary group; `1`
+    /// disables grouping entirely.
     batch: usize,
     wall_budget: Option<Duration>,
     /// Recycled simulator buffers, one entry per idle worker: each worker
     /// checks one out for its whole tour and threads it through every
-    /// single job it runs, so back-to-back jobs reuse the big
+    /// job it runs, so back-to-back jobs reuse the big
     /// allocations instead of reallocating them per job.
     scratch_pool: Mutex<Vec<SimScratch>>,
     journal: Mutex<Option<JournalState>>,
@@ -547,14 +556,12 @@ impl SweepRunner {
         self.oracle = on;
     }
 
-    /// Sets the lockstep batch width (`--batch N` / `WISHBRANCH_BATCH`).
-    /// With a width above 1, [`try_run`](Self::try_run) groups jobs that
-    /// share a compiled binary into [`BatchSimulator`] batches of up to
-    /// `width` lanes; every lane's result equals the same job simulated
-    /// alone, so the width changes throughput, never results. Singleton
-    /// groups, fault-injected indices, and wall-budgeted runs (per-job
-    /// wall time is not attributable inside a shared batch) are simulated
-    /// alone. `0` is clamped to 1 (batching off).
+    /// Sets the batch width (`--batch N` / `WISHBRANCH_BATCH`). With a
+    /// width above 1, [`try_run`](Self::try_run) groups jobs that share a
+    /// compiled binary into units of up to `width` jobs, which one worker
+    /// runs back to back; each job is still run, timed and fault-isolated
+    /// on its own, so the width changes scheduling, never results. `0` is
+    /// clamped to 1 (batching off).
     pub fn set_batch(&mut self, width: usize) {
         self.batch = width.max(1);
     }
@@ -683,7 +690,7 @@ impl SweepRunner {
         let t0 = Instant::now();
         let n = jobs.len();
         let base = self.next_index.fetch_add(n as u64, Ordering::SeqCst);
-        let units = self.plan_units(&jobs, base);
+        let units = self.plan_units(&jobs);
         let jobs = &jobs;
         let units = &units;
         let next = AtomicUsize::new(0);
@@ -694,23 +701,18 @@ impl SweepRunner {
             for _ in 0..workers {
                 scope.spawn(|| {
                     let mut scratch = self.take_scratch();
-                    loop {
-                        if self.aborted.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let u = next.fetch_add(1, Ordering::Relaxed);
-                        if u >= units.len() {
-                            break;
-                        }
-                        match &units[u] {
-                            WorkUnit::Single(i) => {
-                                let outcome =
-                                    self.run_indexed(&jobs[*i], base + *i as u64, &mut scratch);
-                                *lock_unpoisoned(&slots[*i]) = Some(outcome);
+                    let claim = || units.get(next.fetch_add(1, Ordering::Relaxed));
+                    'tour: while let Some(unit) = claim() {
+                        for &i in unit {
+                            if self.aborted() {
+                                break 'tour;
                             }
-                            WorkUnit::Batch(idxs) => {
-                                self.run_batch(jobs, idxs, base, &slots, &mut scratch);
+                            let outcome = self.run_indexed(&jobs[i], base + i as u64, &mut scratch);
+                            let fresh = matches!(&outcome, Ok(d) if !d.journal_hit && !d.store_hit);
+                            if fresh && unit.len() > 1 {
+                                self.batched_jobs.fetch_add(1, Ordering::Relaxed);
                             }
+                            *lock_unpoisoned(&slots[i]) = Some(outcome);
                         }
                     }
                     self.return_scratch(scratch);
@@ -798,30 +800,17 @@ impl SweepRunner {
     }
 
     /// Splits `jobs` into scheduling units. With batching off (width 1)
-    /// or a wall budget set (per-job wall time is not attributable inside
-    /// a shared batch) every job is a [`WorkUnit::Single`]. Otherwise
-    /// jobs sharing a compile key — and therefore a compiled program —
-    /// are grouped in first-seen order and chunked to the batch width.
-    /// Fault-injected indices are always single units, so the
-    /// injection machinery and its recovery behave exactly as tested.
-    fn plan_units(&self, jobs: &[SweepJob], base: u64) -> Vec<WorkUnit> {
-        if self.batch <= 1 || self.wall_budget.is_some() {
-            return (0..jobs.len()).map(WorkUnit::Single).collect();
+    /// every job is its own unit, in submission order. Otherwise jobs
+    /// sharing a compile key — and therefore a compiled program — are
+    /// grouped in first-seen order and chunked to the batch width.
+    fn plan_units(&self, jobs: &[SweepJob]) -> Vec<WorkUnit> {
+        if self.batch <= 1 {
+            return (0..jobs.len()).map(|i| vec![i]).collect();
         }
-        let mut units = Vec::new();
         let mut order: Vec<CompileKey> = Vec::new();
         let mut groups: HashMap<CompileKey, Vec<usize>> = HashMap::new();
         for (i, job) in jobs.iter().enumerate() {
-            if self.fault_plan.fault_at(base + i as u64).is_some() {
-                units.push(WorkUnit::Single(i));
-                continue;
-            }
-            let key = CompileKey {
-                bench: job.bench,
-                variant: job.variant,
-                train: job.train.clone(),
-                options: OptionsKey::new(&job.compile),
-            };
+            let key = CompileKey::of(job);
             match groups.get_mut(&key) {
                 Some(members) => members.push(i),
                 None => {
@@ -830,16 +819,10 @@ impl SweepRunner {
                 }
             }
         }
-        for key in &order {
-            for chunk in groups[key].chunks(self.batch) {
-                if chunk.len() == 1 {
-                    units.push(WorkUnit::Single(chunk[0]));
-                } else {
-                    units.push(WorkUnit::Batch(chunk.to_vec()));
-                }
-            }
-        }
-        units
+        order
+            .iter()
+            .flat_map(|key| groups[key].chunks(self.batch).map(<[usize]>::to_vec))
+            .collect()
     }
 
     /// Serves a job from the attached journal or artifact store, if
@@ -905,19 +888,6 @@ impl SweepRunner {
         if let Some(done) = self.cached_lookup(job) {
             return Ok(done);
         }
-        self.run_fresh(job, index, scratch)
-    }
-
-    /// The execution half of [`run_indexed`](Self::run_indexed) — after
-    /// the journal/store lookups. Also the single-job fallback for batch
-    /// lanes, which have already done (and must not repeat) the lookups.
-    fn run_fresh(
-        &self,
-        job: &SweepJob,
-        index: u64,
-        scratch: &mut SimScratch,
-    ) -> Result<JobResult, JobFailure> {
-        let fault = self.fault_plan.fault_at(index);
         let mut attempts = 0u32;
         loop {
             attempts += 1;
@@ -940,192 +910,6 @@ impl SweepRunner {
                 }
                 Err(error) => return Err(self.record_failure(job, index, error, attempts)),
             }
-        }
-    }
-
-    /// One planned batch: every live lane simulated in lockstep by a
-    /// single [`BatchSimulator`], preserving the single-job path's semantics
-    /// per job — journal/store lookups first, per-job binary-cache
-    /// accounting, lockstep-oracle replay, architectural verification,
-    /// and [`JobError`] isolation (one faulting lane gaps only its own
-    /// cell). The whole batch is wrapped in `catch_unwind`; on a panic
-    /// every lane reruns as a single job, which isolates the panic to
-    /// the one job that caused it.
-    fn run_batch(
-        &self,
-        jobs: &[SweepJob],
-        idxs: &[usize],
-        base: u64,
-        slots: &[Mutex<Option<Result<JobResult, JobFailure>>>],
-        scratch: &mut SimScratch,
-    ) {
-        // Journal/store hits are served first; only the rest become lanes.
-        let mut live: Vec<usize> = Vec::with_capacity(idxs.len());
-        for &i in idxs {
-            match self.cached_lookup(&jobs[i]) {
-                Some(done) => *lock_unpoisoned(&slots[i]) = Some(Ok(done)),
-                None => live.push(i),
-            }
-        }
-        // Acquire the shared binary once per job, so the cache counters
-        // match the single-job path exactly (first lane misses and
-        // compiles, the rest hit). A compile-path failure sends that job
-        // down the single-job path, which reports the memoized error with
-        // the usual record semantics.
-        struct LanePlan {
-            idx: usize,
-            bin: Arc<CompiledBinary>,
-            cache_hit: bool,
-            acquire: Duration,
-        }
-        let mut plans: Vec<LanePlan> = Vec::with_capacity(live.len());
-        for &i in &live {
-            let t0 = Instant::now();
-            match self.binary(&jobs[i]) {
-                Ok((bin, cache_hit)) => plans.push(LanePlan {
-                    idx: i,
-                    bin,
-                    cache_hit,
-                    acquire: t0.elapsed(),
-                }),
-                Err(_) => {
-                    let outcome = self.run_fresh(&jobs[i], base + i as u64, scratch);
-                    *lock_unpoisoned(&slots[i]) = Some(outcome);
-                }
-            }
-        }
-        if plans.len() <= 1 {
-            // Nothing left to share: simulate alone.
-            for plan in &plans {
-                let outcome = self.run_fresh(&jobs[plan.idx], base + plan.idx as u64, scratch);
-                *lock_unpoisoned(&slots[plan.idx]) = Some(outcome);
-            }
-            return;
-        }
-        let t_sim = Instant::now();
-        // One input image per distinct (bench, input) among the lanes,
-        // built inside the simulate window: each lane's preload is a copy
-        // of it, and the lane's checks below read it.
-        let mut images: Vec<((usize, InputSet), MemImage)> = Vec::new();
-        let lane_image: Vec<usize> = plans
-            .iter()
-            .map(|plan| {
-                let key = (jobs[plan.idx].bench, jobs[plan.idx].input);
-                images.iter().position(|(k, _)| *k == key).unwrap_or_else(|| {
-                    images.push((key, input_image(&self.benches[key.0], key.1)));
-                    images.len() - 1
-                })
-            })
-            .collect();
-        let specs: Vec<BatchLaneSpec<'_>> = plans
-            .iter()
-            .zip(&lane_image)
-            .map(|(plan, &img)| {
-                let job = &jobs[plan.idx];
-                BatchLaneSpec {
-                    program: &plan.bin.program,
-                    cfg: job.machine.clone(),
-                    preload_mem: images[img].1.words().to_vec(),
-                    retire_log: self.oracle && !job.machine.oracles.no_false_predicate_fetch,
-                }
-            })
-            .collect();
-        let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut batch = BatchSimulator::new(&specs);
-            let results = batch.run();
-            let logs: Vec<Vec<wishbranch_isa::RetireRecord>> =
-                (0..results.len()).map(|lane| batch.take_retire_log(lane)).collect();
-            (results, logs)
-        }));
-        let batch_wall = t_sim.elapsed();
-        let (results, logs) = match ran {
-            Ok(x) => x,
-            Err(_) => {
-                for plan in &plans {
-                    let outcome =
-                        self.run_fresh(&jobs[plan.idx], base + plan.idx as u64, scratch);
-                    *lock_unpoisoned(&slots[plan.idx]) = Some(outcome);
-                }
-                return;
-            }
-        };
-        // The simulate phase was genuinely shared: the summary records
-        // the batch wall once; each job's phase breakdown gets an equal
-        // share of it.
-        self.simulate_nanos
-            .fetch_add(batch_wall.as_nanos() as u64, Ordering::Relaxed);
-        let share = batch_wall / plans.len() as u32;
-        for (((plan, result), records), &img) in
-            plans.iter().zip(results).zip(&logs).zip(&lane_image)
-        {
-            let i = plan.idx;
-            let image = &images[img].1;
-            let job = &jobs[i];
-            let filled = match result {
-                Err(SimError::CycleLimitExceeded { limit }) => Err(self.record_failure(
-                    job,
-                    base + i as u64,
-                    JobError::CycleBudgetExceeded { limit },
-                    1,
-                )),
-                Ok(sim) => {
-                    let bench = &self.benches[job.bench];
-                    // As on the single-job path, the lockstep replay counts
-                    // toward simulate and `verify` times the check alone.
-                    let t2 = Instant::now();
-                    let replayed = if self.oracle && !job.machine.oracles.no_false_predicate_fetch
-                    {
-                        lockstep_check(&plan.bin.program, bench, job.input, image, &sim, records)
-                    } else {
-                        Ok(())
-                    };
-                    let replay = t2.elapsed();
-                    let t3 = Instant::now();
-                    let checked = replayed.and_then(|()| {
-                        verify_against_image(&plan.bin.program, bench, job.input, image, &sim)
-                    });
-                    let verify = t3.elapsed();
-                    match checked {
-                        Err(error) => Err(self.record_failure(job, base + i as u64, error, 1)),
-                        Ok(()) => {
-                            let simulate = share + replay;
-                            let wall = plan.acquire + simulate + verify;
-                            self.jobs_run.fetch_add(1, Ordering::Relaxed);
-                            self.batched_jobs.fetch_add(1, Ordering::Relaxed);
-                            self.job_time_nanos
-                                .fetch_add(wall.as_nanos() as u64, Ordering::Relaxed);
-                            self.simulate_nanos
-                                .fetch_add(replay.as_nanos() as u64, Ordering::Relaxed);
-                            self.verify_nanos
-                                .fetch_add(verify.as_nanos() as u64, Ordering::Relaxed);
-                            self.sim_cycles.fetch_add(sim.stats.cycles, Ordering::Relaxed);
-                            self.sim_uops
-                                .fetch_add(sim.stats.retired_uops, Ordering::Relaxed);
-                            let mut done = JobResult {
-                                job: job.clone(),
-                                outcome: RunOutcome {
-                                    sim,
-                                    report: plan.bin.report.clone(),
-                                    static_stats: plan.bin.program.static_stats(),
-                                },
-                                wall,
-                                phases: JobPhases {
-                                    acquire: plan.acquire,
-                                    simulate,
-                                    verify,
-                                },
-                                compile_cache_hit: plan.cache_hit,
-                                journal_hit: false,
-                                store_hit: false,
-                                entry: None,
-                            };
-                            self.land(&mut done, image);
-                            Ok(done)
-                        }
-                    }
-                }
-            };
-            *lock_unpoisoned(&slots[i]) = Some(filled);
         }
     }
 
@@ -1317,15 +1101,9 @@ impl SweepRunner {
     ///
     /// The memoized [`JobError`] if the profile/compile path failed.
     pub fn binary(&self, job: &SweepJob) -> Result<(Arc<CompiledBinary>, bool), JobError> {
-        let key = CompileKey {
-            bench: job.bench,
-            variant: job.variant,
-            train: job.train.clone(),
-            options: OptionsKey::new(&job.compile),
-        };
         let cell: BinaryCell = {
             let mut map = lock_unpoisoned(&self.binaries);
-            Arc::clone(map.entry(key).or_default())
+            Arc::clone(map.entry(CompileKey::of(job)).or_default())
         };
         let mut computed = false;
         let result = cell.get_or_init(|| {

@@ -273,9 +273,8 @@ pub fn simulate_lockstep(
 /// oracle, preloaded with the job's input `image`, and anchors the
 /// oracle's final state against the simulator's retired state. This is
 /// the oracle half of [`simulate_lockstep`], factored out so the engine
-/// can run it on a retire log from either a lone [`Simulator`] or a
-/// [`wishbranch_uarch::BatchSimulator`] lane. Callers are responsible for
-/// skipping it for the NO-FETCH limit machine
+/// can run it against the input image it already holds. Callers are
+/// responsible for skipping it for the NO-FETCH limit machine
 /// (`no_false_predicate_fetch`), whose retired stream is not a contiguous
 /// architectural walk.
 ///

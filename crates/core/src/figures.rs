@@ -50,7 +50,8 @@ pub type Fig2Row = NormalizedRow;
 /// Appends AVG and AVGnomcf rows. Averages are over *finite* values only,
 /// per series column: a failed cell (NaN gap) drops out of the mean
 /// instead of poisoning it. With no failures this is the plain mean.
-fn append_averages(rows: &mut Vec<NormalizedRow>) {
+/// Returns the appended `(AVG, AVGnomcf)` series.
+fn append_averages(rows: &mut Vec<NormalizedRow>) -> (Vec<f64>, Vec<f64>) {
     let series = rows.first().map_or(0, |r| r.values.len());
     let mut avg = Vec::with_capacity(series);
     let mut avg_nomcf = Vec::with_capacity(series);
@@ -80,12 +81,13 @@ fn append_averages(rows: &mut Vec<NormalizedRow>) {
     }
     rows.push(NormalizedRow {
         name: "AVG".into(),
-        values: avg,
+        values: avg.clone(),
     });
     rows.push(NormalizedRow {
         name: "AVGnomcf".into(),
-        values: avg_nomcf,
+        values: avg_nomcf.clone(),
     });
+    (avg, avg_nomcf)
 }
 
 /// Runs `jobs` on the runner and returns the retired-cycle count of each,
@@ -483,19 +485,7 @@ fn sweep(runner: &SweepRunner, machines: Vec<(u64, MachineConfig)>) -> Vec<Sweep
                         .collect(),
                 });
             }
-            append_averages(&mut rows);
-            let avg = rows
-                .iter()
-                .find(|r| r.name == "AVG")
-                .expect("averages appended")
-                .values
-                .clone();
-            let avg_nomcf = rows
-                .iter()
-                .find(|r| r.name == "AVGnomcf")
-                .expect("averages appended")
-                .values
-                .clone();
+            let (avg, avg_nomcf) = append_averages(&mut rows);
             SweepRow {
                 param,
                 series: variants.iter().map(|&(l, _, _)| l.into()).collect(),
@@ -614,19 +604,7 @@ pub fn figure14_mem_latency(runner: &SweepRunner) -> Vec<SweepRow> {
                     values: chunk[1..].iter().map(|&c| ratio(c, baseline)).collect(),
                 });
             }
-            append_averages(&mut rows);
-            let avg = rows
-                .iter()
-                .find(|r| r.name == "AVG")
-                .expect("averages appended")
-                .values
-                .clone();
-            let avg_nomcf = rows
-                .iter()
-                .find(|r| r.name == "AVGnomcf")
-                .expect("averages appended")
-                .values
-                .clone();
+            let (avg, avg_nomcf) = append_averages(&mut rows);
             SweepRow {
                 param,
                 series: series.iter().map(|&l| l.into()).collect(),

@@ -13,6 +13,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. Protocol
+/// documents nest a handful of levels; the cap turns a hostile `[[[[…`
+/// into a [`JsonError`] instead of a stack overflow in the recursive
+/// descent.
+const MAX_DEPTH: usize = 128;
+
 /// One parsed JSON value. Object keys keep their source order.
 #[derive(Clone, PartialEq, Debug)]
 pub enum JsonValue {
@@ -56,7 +62,12 @@ impl JsonValue {
     /// [`JsonError`] naming the first offending byte offset.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -140,8 +151,11 @@ impl JsonValue {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open (bounded by [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -169,8 +183,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -179,6 +193,20 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -273,11 +301,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(&b) if b < 0x20 => return Err(self.err("raw control byte in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through unchanged.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string tail"))?;
+                    // Multi-byte UTF-8 sequences pass through unchanged;
+                    // only the next char is decoded, so a long string
+                    // costs linear time.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid utf-8 in string"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -368,6 +399,17 @@ mod tests {
             "{\"a\":1,}", "[01x]", "nullx",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&ok).is_ok());
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(1 << 20);
+            let err = JsonValue::parse(&deep).expect_err("a megabyte of nesting must not parse");
+            assert_eq!(err.offset, MAX_DEPTH * open.len(), "{err}");
         }
     }
 

@@ -515,11 +515,8 @@ fn push_csv_row(out: &mut String, cells: &[String]) {
 /// cache statistics, timing, the per-phase host-time breakdown, and the
 /// simulator-throughput block (simulated cycles / retired µops per
 /// host-second of simulate-phase time; journal hits contribute nothing),
-/// and the batch block (`size` = configured lockstep width, `batched_jobs`
-/// = jobs that actually ran in a multi-lane [`BatchSimulator`] round
-/// rather than alone).
-///
-/// [`BatchSimulator`]: wishbranch_uarch::BatchSimulator
+/// and the batch block (`size` = configured batch width, `batched_jobs`
+/// = fresh successes that ran inside a same-binary group of two or more).
 #[must_use]
 pub fn summary_json(s: &SweepSummary) -> String {
     format!(

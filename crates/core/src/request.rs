@@ -89,9 +89,9 @@ pub struct SweepRequest {
     pub workers: Option<usize>,
     /// Replay every retired stream through the lockstep oracle.
     pub oracle: bool,
-    /// Lockstep batch width: jobs sharing a compiled binary are simulated
-    /// as lanes of one [`wishbranch_uarch::BatchSimulator`] group of up
-    /// to this many lanes, bit-identically to simulating each alone. `None`
+    /// Batch width: jobs sharing a compiled binary are grouped into units
+    /// of up to this many jobs, which one worker runs back to back; every
+    /// job's result is bit-identical to running it ungrouped. `None`
     /// falls back to [`BATCH_ENV`], then 1 (batching off).
     pub batch: Option<usize>,
     /// Explicit deterministic fault plan; `None` falls back to
@@ -226,7 +226,7 @@ impl SweepRequest {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// The lockstep batch width this request resolves to: the explicit
+    /// The batch width this request resolves to: the explicit
     /// field, else a parsed [`BATCH_ENV`], else 1 (batching off).
     ///
     /// # Errors

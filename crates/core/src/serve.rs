@@ -285,7 +285,7 @@ struct ShardStats {
     profile_misses: u64,
     compile_misses: u64,
     sim_cycles: u64,
-    /// Jobs the shard ran inside multi-lane lockstep batches.
+    /// Jobs the shard ran fresh inside same-binary groups of two or more.
     batched_jobs: u64,
     /// The raw contents of the shard's `failures` array (no brackets).
     failures_raw: String,
@@ -1172,8 +1172,9 @@ pub enum ResponseLine {
         compile_misses: u64,
         /// Simulated cycles billed to the tenant.
         sim_cycles: u64,
-        /// Jobs that ran inside multi-lane lockstep batches (0 when
-        /// batching is off or the server predates the batch dimension).
+        /// Jobs that ran fresh inside same-binary groups of two or more (0
+        /// when batching is off or the server predates the batch
+        /// dimension).
         batched_jobs: u64,
         /// The raw JSON `failures` array (same element shape as the
         /// summary document's failure table).

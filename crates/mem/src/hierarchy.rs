@@ -651,12 +651,6 @@ impl MemoryHierarchy {
         lat
     }
 
-    /// [`MemoryHierarchy::fetch_access_at`] without MSHR accounting (kept
-    /// for callers with no notion of time).
-    pub fn fetch_access(&mut self, addr: u64) -> u64 {
-        self.fetch_access_at(addr, 0)
-    }
-
     /// Data access (load or store — write-allocate makes them identical for
     /// timing); returns latency in cycles. `now` is the current cycle.
     pub fn data_access_at(&mut self, addr: u64, _is_write: bool, now: u64) -> u64 {
@@ -668,11 +662,6 @@ impl MemoryHierarchy {
             }
         }
         lat
-    }
-
-    /// [`MemoryHierarchy::data_access_at`] without MSHR accounting.
-    pub fn data_access(&mut self, addr: u64, is_write: bool) -> u64 {
-        self.data_access_at(addr, is_write, 0)
     }
 
     /// Wrong-path data access: computes the latency the access *would* see
@@ -733,9 +722,9 @@ mod tests {
     fn latency_composition() {
         let mut m = MemoryHierarchy::new(MemConfig::default());
         // Cold: L1 miss + L2 miss + memory.
-        assert_eq!(m.data_access(0x4000, false), 2 + 6 + 300);
+        assert_eq!(m.data_access_at(0x4000, false, 0), 2 + 6 + 300);
         // Warm L1.
-        assert_eq!(m.data_access(0x4000, false), 2);
+        assert_eq!(m.data_access_at(0x4000, false, 0), 2);
     }
 
     #[test]
@@ -751,18 +740,18 @@ mod tests {
             ..MemConfig::default()
         };
         let mut m = MemoryHierarchy::new(cfg);
-        m.data_access(0x0, false); // miss both
-        m.data_access(0x40, false); // evicts 0x0 from L1, fills L2
+        m.data_access_at(0x0, false, 0); // miss both
+        m.data_access_at(0x40, false, 0); // evicts 0x0 from L1, fills L2
         // 0x0: L1 miss, L2 hit.
-        assert_eq!(m.data_access(0x0, false), 2 + 6);
+        assert_eq!(m.data_access_at(0x0, false, 0), 2 + 6);
     }
 
     #[test]
     fn fetch_and_data_share_l2() {
         let mut m = MemoryHierarchy::new(MemConfig::default());
-        m.fetch_access(0x8000); // fills L2 line
+        m.fetch_access_at(0x8000, 0); // fills L2 line
         // Data access to same line: L1D miss but L2 hit.
-        assert_eq!(m.data_access(0x8000, false), 2 + 6);
+        assert_eq!(m.data_access_at(0x8000, false, 0), 2 + 6);
     }
 
     #[test]
@@ -770,7 +759,7 @@ mod tests {
         let mut m = MemoryHierarchy::new(MemConfig::default());
         assert_eq!(m.data_probe(0xA000, 0), 2 + 6 + 300);
         // Still cold afterwards.
-        assert_eq!(m.data_access(0xA000, false), 2 + 6 + 300);
+        assert_eq!(m.data_access_at(0xA000, false, 0), 2 + 6 + 300);
     }
 }
 
@@ -859,7 +848,7 @@ mod mshr_tests {
             ..MemConfig::default()
         };
         let mut m = MemoryHierarchy::new(cfg);
-        m.fetch_access(0x8000); // fills the L2 line via the I-side
+        m.fetch_access_at(0x8000, 0); // fills the L2 line via the I-side
         match m.data_access_nonblocking(0x8000, false, 1, 100) {
             AccessOutcome::Pending(fill) => assert_eq!(fill, 100 + 2 + 6),
             other => panic!("L2 hit must fill at L1+L2 latency: {other:?}"),

@@ -38,8 +38,8 @@
 //! use wishbranch_mem::{MemoryHierarchy, MemConfig};
 //!
 //! let mut mem = MemoryHierarchy::new(MemConfig::default());
-//! let cold = mem.data_access(0x1000, false);
-//! let warm = mem.data_access(0x1008, false); // same 64B line
+//! let cold = mem.data_access_at(0x1000, false, 0);
+//! let warm = mem.data_access_at(0x1008, false, 0); // same 64B line
 //! assert!(cold > warm);
 //! assert_eq!(warm, 2); // L1 hit
 //! ```

@@ -1,6 +1,6 @@
 //! The out-of-order engine. Every simulation runs as a *lane* over
 //! structure-of-arrays state: one lane alone behind [`crate::Simulator`],
-//! or N lanes in lockstep behind [`BatchSimulator`].
+//! or N lanes sharing decoded tables behind [`BatchSimulator`].
 //!
 //! Per-cycle stage order: branch resolution → retire → issue/execute →
 //! dispatch/rename → fetch. Fetch runs the speculative emulator
@@ -13,10 +13,8 @@
 //! memory image, predictors, speculative emulator and counters — but all
 //! lanes of a batch share one pre-decoded per-PC µop cache and static DHP
 //! hammock-plan table ([`crate::decode::DecodedProgram`], behind an `Arc`)
-//! per distinct `(program, decode key)` pair. Lanes advance in lockstep
-//! *rounds*: each round gives every still-running lane a fixed budget of
-//! cycles, and finished lanes are retired from the active set so a
-//! straggler lane never serializes the others' completion.
+//! per distinct `(program, decode key)` pair. A batch runs its lanes one
+//! after another, each to completion.
 //!
 //! # Layout
 //!
@@ -46,7 +44,7 @@
 //! lockstep oracle ([`wishbranch_isa::LockstepOracle`]).
 //! `tests/batch_equiv.rs` checks lane-count invariance: lanes share
 //! nothing dynamic, so a job alone equals the same job at any position in
-//! a batch, whatever the round size.
+//! a batch.
 
 use crate::config::{MachineConfig, OracleConfig, PredMechanism};
 use crate::core::{
@@ -152,13 +150,6 @@ struct RobSlim {
     loop_class: u8,
     ready_cycle: u64,
     waiters: WaiterList,
-}
-
-/// Progress of one lane after an [`Lane::advance`] round.
-pub(crate) enum LaneStatus {
-    Running,
-    Halted,
-    Limit(SimError),
 }
 
 /// One simulation's complete dynamic state over arena/slim storage,
@@ -438,18 +429,13 @@ impl Lane {
         }
     }
 
-    /// Runs up to `budget` cycles of the per-cycle loop. All loop state
-    /// lives in `self`, so splitting a run into rounds is invisible to the
-    /// simulation.
-    pub(crate) fn advance(&mut self, budget: u64) -> LaneStatus {
+    /// Runs the per-cycle loop until `halt` retires or the configured
+    /// cycle budget runs out.
+    pub(crate) fn advance(&mut self) -> Result<(), SimError> {
         let d = Arc::clone(&self.decoded);
-        let mut left = budget;
         while !self.halted {
-            if left == 0 {
-                return LaneStatus::Running;
-            }
             if self.cycle >= self.cfg.max_cycles {
-                return LaneStatus::Limit(SimError::CycleLimitExceeded {
+                return Err(SimError::CycleLimitExceeded {
                     limit: self.cfg.max_cycles,
                 });
             }
@@ -458,12 +444,9 @@ impl Lane {
             // bulk-applying the per-cycle idle accounting the skipped
             // cycles would have produced.
             if let Some(wake) = self.inert_until(&d) {
-                let k = (wake - self.cycle).min(left);
-                self.skip_inert_cycles(k);
-                left -= k;
+                self.skip_inert_cycles(wake - self.cycle);
                 continue;
             }
-            left -= 1;
             // Resolve completions first so a branch that finished executing
             // this cycle can retire this cycle (otherwise every branch that
             // reaches the ROB head right after completing would lose a
@@ -501,7 +484,7 @@ impl Lane {
             self.account_cycle(retired_any);
             self.cycle += 1;
         }
-        LaneStatus::Halted
+        Ok(())
     }
 
     /// Final statistics fold and architectural-state capture after halt.
@@ -2359,7 +2342,7 @@ impl Lane {
     }
 }
 
-/// Advances N independent simulation lanes in lockstep rounds over a
+/// Runs N independent simulation lanes, one after another, over a
 /// shared pre-decoded µop cache. Lanes are grouped by
 /// `(program identity, decode key)` for decode sharing; everything dynamic
 /// is per-lane, so every lane's [`SimResult`] equals the same job run
@@ -2392,11 +2375,6 @@ impl Lane {
 pub struct BatchSimulator {
     lanes: Vec<Lane>,
 }
-
-/// Cycles each active lane advances per lockstep round. Lanes are
-/// independent, so the round size is a locality knob (keep a lane's
-/// working set hot for a while), never a correctness one.
-const ROUND_CYCLES: u64 = 4096;
 
 impl BatchSimulator {
     /// Builds one lane per spec, sharing pre-decoded program tables across
@@ -2434,28 +2412,12 @@ impl BatchSimulator {
         self.lanes.len()
     }
 
-    /// Runs every lane to completion, rotating through the active set in
-    /// lockstep rounds; finished lanes leave the set so a straggler never
-    /// serializes the rest. Returns one result per lane, in spec order.
+    /// Runs each lane to completion in spec order and returns one result
+    /// per lane, in the same order.
     pub fn run(&mut self) -> Vec<Result<SimResult, SimError>> {
-        let n = self.lanes.len();
-        let mut results: Vec<Option<Result<SimResult, SimError>>> =
-            (0..n).map(|_| None).collect();
-        let mut active: Vec<usize> = (0..n).collect();
-        while !active.is_empty() {
-            let mut still = Vec::with_capacity(active.len());
-            for &i in &active {
-                match self.lanes[i].advance(ROUND_CYCLES) {
-                    LaneStatus::Running => still.push(i),
-                    LaneStatus::Halted => results[i] = Some(Ok(self.lanes[i].finish())),
-                    LaneStatus::Limit(e) => results[i] = Some(Err(e)),
-                }
-            }
-            active = still;
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every lane finished"))
+        self.lanes
+            .iter_mut()
+            .map(|lane| lane.advance().map(|()| lane.finish()))
             .collect()
     }
 

@@ -3,16 +3,16 @@
 //!
 //! [`Simulator`] is a thin facade over one lane of the out-of-order engine
 //! in [`crate::batch`] — the crate's only core. A [`crate::BatchSimulator`]
-//! runs N such lanes in lockstep rounds; a `Simulator` runs one to
-//! completion, optionally on buffers recycled from the previous job
-//! ([`SimScratch`]). Both produce the same [`SimResult`] for the same
+//! runs N such lanes one after another over shared decoded tables; a
+//! `Simulator` runs one, optionally on buffers recycled from the previous
+//! job ([`SimScratch`]). Both produce the same [`SimResult`] for the same
 //! program, configuration and input.
 //!
 //! The types below the facade (branch metadata, front-end modes, the
 //! waiter list, the I-cache fetch gate, …) are the engine's shared
 //! vocabulary.
 
-use crate::batch::{Lane, LaneArenas, LaneStatus};
+use crate::batch::{Lane, LaneArenas};
 use crate::config::MachineConfig;
 use crate::decode::DecodedProgram;
 use crate::stats::SimStats;
@@ -300,13 +300,8 @@ impl<'p> Simulator<'p> {
     /// Returns [`SimError::CycleLimitExceeded`] if the configured cycle
     /// budget runs out (runaway program or configuration bug).
     pub fn run(&mut self) -> Result<SimResult, SimError> {
-        match self.lane.advance(u64::MAX) {
-            LaneStatus::Halted => Ok(self.lane.finish()),
-            LaneStatus::Limit(e) => Err(e),
-            LaneStatus::Running => {
-                unreachable!("an unbounded round ends at halt or the cycle limit")
-            }
-        }
+        self.lane.advance()?;
+        Ok(self.lane.finish())
     }
 }
 

@@ -23,10 +23,10 @@
 //! is submitted to a server (`client`), or arrives over a socket
 //! (`serve`). Worker count resolves explicit `--workers` →
 //! `WISHBRANCH_WORKERS` → available parallelism; the fault plan resolves
-//! explicit `--fault-plan` → `WISHBRANCH_FAULT_PLAN` → none; the lockstep
-//! batch width resolves explicit `--batch` → `WISHBRANCH_BATCH` → 1
-//! (batching off). A batched lane is bit-identical to the same job run
-//! alone — the knob only changes throughput.
+//! explicit `--fault-plan` → `WISHBRANCH_FAULT_PLAN` → none; the batch
+//! width resolves explicit `--batch` → `WISHBRANCH_BATCH` → 1 (batching
+//! off). A job in a batched group is bit-identical to the same job run
+//! ungrouped — the knob only changes the order a worker takes jobs in.
 //!
 //! Output modes:
 //!

@@ -14,8 +14,7 @@
 //! The job draw deliberately mixes benchmarks, binary variants, inputs
 //! and machine configs — including hierarchy-on (`realistic`) and
 //! hierarchy-off `MemConfig`s inside one batch, which the lane engine must
-//! handle directly (the `SweepRunner` planner additionally splits such
-//! groups, but the engine itself cannot require it).
+//! handle directly.
 
 mod support;
 
@@ -135,9 +134,8 @@ proptest! {
     }
 }
 
-/// A straggler lane (100× the work of its batchmates) must neither
-/// perturb the other lanes' results nor serialize their completion path:
-/// short lanes leave the active set while the straggler keeps running.
+/// A straggler lane (100× the work of its batchmates) must not perturb
+/// the other lanes' results, whichever side of it they run on.
 #[test]
 fn straggler_lane_stays_bit_identical() {
     // The trip count is baked into the program text, so the straggler is

@@ -1,9 +1,11 @@
 //! Engine-level batching contract: a [`SweepRunner`] with a batch width
-//! above 1 groups compatible jobs into lockstep [`BatchSimulator`] lanes,
-//! and every observable output — `SimResult`s, compile reports, summary
-//! cache counters, failure isolation — is bit-identical to the unbatched
-//! (width-1, one lane per job) run. Batching is a throughput knob, never
-//! a semantics knob.
+//! above 1 groups jobs that share a compiled binary into units one worker
+//! runs back to back, and every observable output — `SimResult`s, compile
+//! reports, summary cache counters, journal entries, failure isolation —
+//! is bit-identical to the unbatched (width-1) run. Batching is a
+//! scheduling knob, never a semantics knob.
+
+use std::path::{Path, PathBuf};
 
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{ExperimentConfig, FaultKind, FaultPlan, SweepJob, SweepRunner};
@@ -34,6 +36,17 @@ fn batchable_jobs(ec: &ExperimentConfig) -> Vec<SweepJob> {
         }
     }
     jobs
+}
+
+/// A unique scratch directory under the target dir (no tempfile dep).
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("engine_batch_{tag}_{}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
+    }
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 fn runner(ec: &ExperimentConfig, workers: usize, batch: usize) -> SweepRunner {
@@ -77,6 +90,31 @@ fn batched_sweep_is_bit_identical_to_scalar() {
     assert_eq!(sb.jobs, jobs.len() as u64);
     assert_eq!(sb.failed, 0);
     assert!(sb.sim_uops > 0 && sb.simulate_time.as_nanos() > 0);
+
+    // On one worker, grouping changes nothing a job observes: the same
+    // jobs miss the binary cache, the summary counts the same work, and
+    // every persisted entry is byte-identical.
+    let dir = scratch_dir("width");
+    let journaled = |batch: usize| {
+        let r = runner(&ec, 1, batch);
+        r.attach_journal(&dir.join(format!("batch{batch}.jsonl")), false)
+            .expect("attach journal");
+        let results = r.run(jobs.clone()).expect("journaled sweep");
+        (results, r.summary())
+    };
+    let (w1, s1) = journaled(1);
+    let (w8, s8) = journaled(8);
+    std::fs::remove_dir_all(&dir).expect("remove scratch dir");
+    for (i, (a, b)) in w1.iter().zip(&w8).enumerate() {
+        assert_eq!(a.compile_cache_hit, b.compile_cache_hit, "job {i}: compile cache hit");
+        assert!(a.entry.is_some(), "job {i}: a journaled run encodes an entry");
+        assert_eq!(a.entry, b.entry, "job {i}: journal entry bytes differ");
+    }
+    let counts = |s: &wishbranch_core::SweepSummary| {
+        (s.jobs, s.sim_cycles, s.sim_uops, s.compile_hits, s.compile_misses)
+    };
+    assert_eq!(counts(&s1), counts(&s8));
+    assert_eq!((s1.batched_jobs, s8.batched_jobs), (0, sb.batched_jobs));
 }
 
 #[test]
@@ -117,23 +155,29 @@ fn fault_injected_job_stays_isolated_under_batching() {
     // Reference: fault-free batched run.
     let clean = runner(&ec, 2, 8).run(jobs.clone()).expect("clean sweep");
 
-    // Same sweep with job 2 panicking: that cell fails, every other cell
-    // stays bit-identical, and batching stays on for the rest.
-    let mut faulty_runner = runner(&ec, 2, 8);
-    faulty_runner.set_fault_plan(FaultPlan::new().inject(2, FaultKind::Panic));
-    faulty_runner.set_retry_limit(0);
-    let faulty = faulty_runner.try_run(jobs);
+    // Same sweep with job 2 faulting inside its group: that cell fails,
+    // every other cell stays bit-identical, and batching stays on for the
+    // rest.
+    for kind in [FaultKind::Panic, FaultKind::Budget, FaultKind::Diverge] {
+        let mut faulty_runner = runner(&ec, 2, 8);
+        faulty_runner.set_fault_plan(FaultPlan::new().inject(2, kind));
+        faulty_runner.set_retry_limit(0);
+        let faulty = faulty_runner.try_run(jobs.clone());
 
-    for (i, (c, f)) in clean.iter().zip(&faulty).enumerate() {
-        if i == 2 {
-            let failure = f.as_ref().expect_err("injected panic must fail job 2");
-            assert_eq!(failure.index, 2);
-        } else {
-            let ok = f.as_ref().expect("non-faulted jobs succeed");
-            assert_eq!(c.outcome.sim, ok.outcome.sim, "job {i} diverges beside a fault");
+        for (i, (c, f)) in clean.iter().zip(&faulty).enumerate() {
+            if i == 2 {
+                let failure = f.as_ref().expect_err("injected fault must fail job 2");
+                assert_eq!(failure.index, 2, "{kind:?}");
+            } else {
+                let ok = f.as_ref().expect("non-faulted jobs succeed");
+                assert_eq!(
+                    c.outcome.sim, ok.outcome.sim,
+                    "{kind:?}: job {i} diverges beside a fault"
+                );
+            }
         }
+        let summary = faulty_runner.summary();
+        assert_eq!(summary.failed, 1, "{kind:?}");
+        assert!(summary.batched_jobs > 0, "{kind:?}: remaining jobs still batched");
     }
-    let summary = faulty_runner.summary();
-    assert_eq!(summary.failed, 1);
-    assert!(summary.batched_jobs > 0, "remaining jobs still batched");
 }

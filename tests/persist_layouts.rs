@@ -11,6 +11,9 @@
 //!   overwritten or shortened bytes with `None` or a decoded outcome,
 //!   never a panic.
 
+mod mutate;
+
+use mutate::{mutate, mutation_strategy};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -136,67 +139,6 @@ fn persisting_runner_encodes_once_and_store_hits_pass_the_bytes_on() {
     }
     assert_eq!(warm.summary().store_hits, jobs.len() as u64);
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// One byte-level mutation of a persisted entry.
-#[derive(Clone, Copy, Debug)]
-enum Mutation {
-    /// Cut the bytes at a sampled point.
-    Truncate,
-    /// Flip one bit of one byte.
-    FlipBit,
-    /// Swap a digit for another digit (keeps the line well-formed more
-    /// often than a flip, so it reaches deeper into the decoder).
-    SwapDigit,
-    /// Overwrite a short run with random bytes.
-    RandomBytes,
-    /// Cut a short run out of the middle, so the line still ends the way
-    /// a whole entry does but its array is shorter.
-    DeleteRun,
-}
-
-fn mutation_strategy() -> impl Strategy<Value = (Mutation, u64, u64)> {
-    (
-        prop_oneof![
-            Just(Mutation::Truncate),
-            Just(Mutation::FlipBit),
-            Just(Mutation::SwapDigit),
-            Just(Mutation::RandomBytes),
-            Just(Mutation::DeleteRun),
-        ],
-        any::<u64>(),
-        any::<u64>(),
-    )
-}
-
-fn mutate(bytes: &[u8], (kind, at, noise): (Mutation, u64, u64)) -> Vec<u8> {
-    let mut out = bytes.to_vec();
-    // Half the mutations land in the first 128 bytes, where the key,
-    // version and image reference live.
-    let span = if noise >> 63 == 1 { bytes.len().min(128) } else { bytes.len() };
-    let pos = (at % span as u64) as usize;
-    match kind {
-        Mutation::Truncate => out.truncate(pos),
-        Mutation::FlipBit => out[pos] ^= 1 << (noise % 8),
-        Mutation::SwapDigit => {
-            let digits: Vec<usize> = (0..out.len()).filter(|&i| out[i].is_ascii_digit()).collect();
-            let i = digits[pos % digits.len()];
-            let replacement = b'0' + (noise % 10) as u8;
-            out[i] = if replacement == out[i] { b'0' + (out[i] - b'0' + 1) % 10 } else { replacement };
-        }
-        Mutation::RandomBytes => {
-            for (k, byte) in noise.to_le_bytes().iter().enumerate().take(1 + (noise % 8) as usize) {
-                if let Some(slot) = out.get_mut(pos + k) {
-                    *slot = *byte;
-                }
-            }
-        }
-        Mutation::DeleteRun => {
-            let end = (pos + 1 + (noise % 64) as usize).min(out.len());
-            out.drain(pos..end);
-        }
-    }
-    out
 }
 
 /// A layout-4 entry of the first fixture job, encoded by a persisting
