@@ -1,12 +1,21 @@
 //! # wishbranch-bench
 //!
-//! Criterion benches that regenerate every table and figure of the paper's
-//! evaluation. Each bench in `benches/` does two things:
+//! Benches that regenerate every table and figure of the paper's
+//! evaluation. The `paper` bench is one harness over the
+//! [`Experiment`](wishbranch_core::Experiment) catalog:
 //!
-//! 1. regenerates its table/figure at full scale and prints it (this is the
-//!    reproduction artifact recorded in `EXPERIMENTS.md`);
-//! 2. registers a Criterion measurement over a scaled-down kernel so
-//!    `cargo bench` also tracks simulator performance regressions.
+//! ```text
+//! cargo bench -p wishbranch-bench --bench paper -- fig10 abl_loop_predictor
+//! ```
+//!
+//! It runs the experiments named on the command line (every one when none
+//! is named) on one shared runner at full scale and prints each report —
+//! the reproduction artifact recorded in `EXPERIMENTS.md`. An unknown id
+//! exits nonzero and lists the known ones.
+//!
+//! `perf_components` times the substrate components plus one scaled-down
+//! simulator kernel ([`register_kernel`]), and `perf_smoke` is the
+//! simulator-throughput gate.
 //!
 //! Scale is controlled with the `WISHBRANCH_SCALE` environment variable
 //! (default 4000 outer iterations per benchmark).
@@ -35,7 +44,7 @@ pub fn paper_scale() -> i32 {
         .unwrap_or(4000)
 }
 
-/// The experiment configuration used by all figure benches.
+/// The experiment configuration used by the `paper` bench.
 #[must_use]
 pub fn paper_config() -> ExperimentConfig {
     ExperimentConfig::paper(paper_scale())
@@ -51,7 +60,9 @@ pub fn paper_runner() -> SweepRunner {
 
 /// Prints a report's rendered table and, when [`REPORT_DIR_ENV`] is set,
 /// also writes `<id>.json` and `<id>.csv` into that directory — the same
-/// files `wishbranch-repro --report-dir` produces.
+/// files `wishbranch-repro --report-dir` produces. Cargo starts bench
+/// binaries in the package directory (`crates/bench`), so a relative path
+/// resolves there; pass an absolute one to write elsewhere.
 pub fn emit_report(report: &Report) {
     println!("\n{}", report.render());
     if let Ok(dir) = std::env::var(REPORT_DIR_ENV) {
@@ -77,9 +88,9 @@ pub fn print_sweep_summary(runner: &SweepRunner) {
     }
 }
 
-/// Registers the standard Criterion measurement: one small wish-branch
-/// simulation (twolf kernel, 300 iterations) so every bench also times the
-/// simulator.
+/// Registers the simulator kernel measurement: one small wish-branch
+/// simulation (twolf kernel, 300 iterations), so `cargo bench` tracks
+/// simulator performance regressions.
 pub fn register_kernel(c: &mut Criterion, group: &str) {
     let ec = ExperimentConfig::paper(300);
     let bench = twolf(300);

@@ -1,13 +1,14 @@
 //! Ablation studies on the design choices DESIGN.md calls out: confidence
-//! estimator threshold, and the compiler's wish-conversion thresholds
-//! (§4.2.2's untuned N and L).
+//! estimator threshold, MSHR count, the compiler's wish-conversion
+//! threshold (§4.2.2's untuned N), and the §3.2 biased wish-loop predictor.
 //!
 //! Each sweep batches *every* parameter value's jobs into one
-//! [`SweepRunner::run`] call, so the shared binaries (machine-parameter
+//! [`SweepRunner::try_run`] call, so the shared binaries (machine-parameter
 //! sweeps reuse the same compiled binaries at every point) come out of the
 //! cache and all points execute concurrently.
 
 use crate::engine::{SweepJob, SweepRunner};
+use crate::figures::{append_averages, labels, normalized, stat_rows, FigureData, NormalizedRow};
 use wishbranch_compiler::{BinaryVariant, CompileOptions};
 use wishbranch_uarch::MachineConfig;
 
@@ -22,91 +23,65 @@ pub struct AblationPoint {
 }
 
 /// Runs `(normal, wish-jjl)` over the whole suite at every configuration
-/// point in one batch and averages the normalized execution times.
+/// point in one batch. A point's value is the AVG of the benchmarks whose
+/// pair both completed; NaN (an explicit gap) if every pair failed.
 fn wjl_points(
     runner: &SweepRunner,
-    points: Vec<(u64, MachineConfig, CompileOptions)>,
+    points: &[(u64, MachineConfig, CompileOptions)],
 ) -> Vec<AblationPoint> {
-    let ec = runner.config().clone();
-    let input = ec.train_input;
-    let nbench = runner.benches().len();
-    let mut jobs = Vec::new();
-    for (_, machine, compile) in &points {
-        for b in 0..nbench {
-            for variant in [BinaryVariant::NormalBranch, BinaryVariant::WishJumpJoinLoop] {
-                jobs.push(
-                    SweepJob::standard(b, variant, input, &ec)
-                        .with_machine(machine.clone())
-                        .with_compile(compile.clone()),
-                );
-            }
-        }
-    }
-    let cycles: Vec<Option<u64>> = runner
-        .try_run(jobs)
-        .into_iter()
-        .map(|r| r.ok().map(|r| r.outcome.sim.stats.cycles))
-        .collect();
-    points
-        .iter()
-        .zip(cycles.chunks_exact(2 * nbench))
-        .map(|(&(param, _, _), chunk)| {
-            // Average over the benchmarks whose (normal, wish) pair both
-            // completed; NaN (an explicit gap) if every pair failed.
-            let mut sum = 0.0;
-            let mut n = 0usize;
-            for pair in chunk.chunks_exact(2) {
-                if let (Some(normal), Some(wish)) = (pair[0], pair[1]) {
-                    sum += wish as f64 / normal as f64;
-                    n += 1;
-                }
-            }
-            AblationPoint {
-                param,
-                avg_normalized: if n > 0 { sum / n as f64 } else { f64::NAN },
-            }
-        })
-        .collect()
+    let ec = runner.config();
+    normalized(runner, points, 2, |(_, machine, compile), b| {
+        [BinaryVariant::NormalBranch, BinaryVariant::WishJumpJoinLoop]
+            .map(|v| {
+                SweepJob::standard(b, v, ec.train_input, ec)
+                    .with_machine(machine.clone())
+                    .with_compile(*compile)
+            })
+            .into()
+    })
+    .into_iter()
+    .zip(points)
+    .map(|(g, &(param, _, _))| AblationPoint {
+        param,
+        avg_normalized: g.avg[0],
+    })
+    .collect()
 }
 
 /// Sweeps the JRS confidence threshold (§3.5.5: "an accurate confidence
 /// estimator is essential"). Low thresholds trust the predictor too much
 /// (high-confidence mispredictions flush); high thresholds predicate too
 /// much (overhead without benefit).
-#[deprecated(note = "run `Experiment::AblConfidence` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn confidence_threshold_sweep(
+pub(crate) fn confidence_threshold_sweep(
     runner: &SweepRunner,
     thresholds: &[u8],
 ) -> Vec<AblationPoint> {
     let ec = runner.config();
-    let points = thresholds
+    let points: Vec<_> = thresholds
         .iter()
         .map(|&th| {
             let mut machine = ec.machine.clone();
             machine.jrs.threshold = th;
-            (u64::from(th), machine, ec.compile.clone())
+            (u64::from(th), machine, ec.compile)
         })
         .collect();
-    wjl_points(runner, points)
+    wjl_points(runner, &points)
 }
 
 /// Sweeps the number of MSHRs (outstanding memory misses): bounding MLP
 /// magnifies predication's serialization pathologies (mcf) and shrinks the
 /// normal binary's ability to hide flush latency. `0` = unlimited.
-#[deprecated(note = "run `Experiment::AblMshr` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn mshr_sweep(runner: &SweepRunner, mshrs: &[usize]) -> Vec<AblationPoint> {
+pub(crate) fn mshr_sweep(runner: &SweepRunner, mshrs: &[usize]) -> Vec<AblationPoint> {
     let ec = runner.config();
-    let points = mshrs
+    let points: Vec<_> = mshrs
         .iter()
         .map(|&m| {
             let mut machine = ec.machine.clone();
             machine.mem.max_outstanding_misses = m;
-            (m as u64, machine, ec.compile.clone())
+            (m as u64, machine, ec.compile)
         })
         .collect();
-    wjl_points(runner, points)
+    wjl_points(runner, &points)
 }
 
 /// Sweeps §4.2.2's N: the fall-through size above which a convertible
@@ -115,82 +90,65 @@ pub fn mshr_sweep(runner: &SweepRunner, mshrs: &[usize]) -> Vec<AblationPoint> {
 /// Each N is a distinct compile-cache key, so the sweep deliberately
 /// compiles fresh binaries per point (the engine's cache keys on the full
 /// compile options).
-#[deprecated(note = "run `Experiment::AblThresholds` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn wish_threshold_sweep(runner: &SweepRunner, ns: &[usize]) -> Vec<AblationPoint> {
+pub(crate) fn wish_threshold_sweep(runner: &SweepRunner, ns: &[usize]) -> Vec<AblationPoint> {
     let ec = runner.config();
-    let points = ns
+    let points: Vec<_> = ns
         .iter()
         .map(|&n| {
-            let mut compile = ec.compile.clone();
+            let mut compile = ec.compile;
             compile.wish_jump_threshold = n;
             (n as u64, ec.machine.clone(), compile)
         })
         .collect();
-    wjl_points(runner, points)
+    wjl_points(runner, &points)
 }
 
-/// Compares wish-loop outcome classes with and without overestimation bias
-/// in the trip predictor — the paper's §3.2 suggestion that a specialized
-/// wish-loop predictor "can be biased to overestimate the iteration count
-/// … to make the late-exit case more common than the early-exit case".
-#[derive(Clone, PartialEq, Debug)]
-pub struct LoopPredictorComparison {
-    /// Early exits (flushes) without the specialized predictor.
-    pub early_unbiased: u64,
-    /// Late exits (no flush) without the specialized predictor.
-    pub late_unbiased: u64,
-    /// Early exits with the biased trip predictor.
-    pub early_biased: u64,
-    /// Late exits with the biased trip predictor.
-    pub late_biased: u64,
-    /// Total cycles without the specialized predictor.
-    pub cycles_unbiased: u64,
-    /// Total cycles with the biased trip predictor.
-    pub cycles_biased: u64,
-}
-
-/// Runs the loop-heavy benchmarks with and without a biased specialized
-/// wish-loop predictor and aggregates the early/late exit classes.
-#[must_use]
-pub fn loop_predictor_comparison(runner: &SweepRunner, bias: u32) -> LoopPredictorComparison {
-    let ec = runner.config().clone();
-    let input = ec.train_input;
+/// Compares wish-loop outcome classes with and without overestimation
+/// `bias` in a specialized trip predictor — the paper's §3.2 suggestion
+/// that a wish-loop predictor "can be biased to overestimate the iteration
+/// count … to make the late-exit case more common than the early-exit
+/// case". Each benchmark runs its wish jump/join/loop binary on the
+/// hybrid-only machine and on the biased one; the row holds both runs'
+/// early and late exit counts and the biased run's cycles over the
+/// hybrid-only run's. A failed run gaps the benchmark's row.
+pub(crate) fn loop_predictor(runner: &SweepRunner, bias: u32) -> FigureData {
+    let ec = runner.config();
     let mut biased_machine = ec.machine.clone();
     biased_machine.wish_loop_predictor = Some(wishbranch_bpred::LoopPredConfig {
         bias,
         ..wishbranch_bpred::LoopPredConfig::default()
     });
-    let mut jobs = Vec::new();
-    for b in 0..runner.benches().len() {
-        jobs.push(SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, input, &ec));
-        jobs.push(
-            SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, input, &ec)
-                .with_machine(biased_machine.clone()),
-        );
+    let job = |b| SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, ec.train_input, ec);
+    let mut rows = stat_rows(
+        runner,
+        |b| vec![job(b), job(b).with_machine(biased_machine.clone())],
+        |name, stats| NormalizedRow {
+            name,
+            values: stats.map_or_else(
+                || vec![f64::NAN; 5],
+                |s| {
+                    let (plain, biased) = (s[0], s[1]);
+                    vec![
+                        plain.loop_early_exits as f64,
+                        biased.loop_early_exits as f64,
+                        plain.loop_late_exits as f64,
+                        biased.loop_late_exits as f64,
+                        biased.cycles as f64 / plain.cycles as f64,
+                    ]
+                },
+            ),
+        },
+    );
+    append_averages(&mut rows);
+    FigureData {
+        title: format!("Ablation: specialized wish-loop predictor (bias +{bias}) vs hybrid-only"),
+        series: labels(&[
+            "early exits (hybrid-only)",
+            "early exits (biased)",
+            "late exits (hybrid-only)",
+            "late exits (biased)",
+            "cycles (biased / hybrid-only)",
+        ]),
+        rows,
     }
-    let results = runner.try_run(jobs);
-    let mut out = LoopPredictorComparison {
-        early_unbiased: 0,
-        late_unbiased: 0,
-        early_biased: 0,
-        late_biased: 0,
-        cycles_unbiased: 0,
-        cycles_biased: 0,
-    };
-    for pair in results.chunks_exact(2) {
-        // A benchmark with a failed half is skipped: the comparison is
-        // only meaningful when both machines ran the same work.
-        let (plain, biased) = match (&pair[0], &pair[1]) {
-            (Ok(p), Ok(b)) => (&p.outcome.sim.stats, &b.outcome.sim.stats),
-            _ => continue,
-        };
-        out.early_unbiased += plain.loop_early_exits;
-        out.late_unbiased += plain.loop_late_exits;
-        out.early_biased += biased.loop_early_exits;
-        out.late_biased += biased.loop_late_exits;
-        out.cycles_unbiased += plain.cycles;
-        out.cycles_biased += biased.cycles;
-    }
-    out
 }

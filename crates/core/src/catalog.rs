@@ -2,9 +2,11 @@
 //! behind one stable id, runnable on a shared [`SweepRunner`] and returning
 //! a serializable [`Report`].
 //!
-//! The CLI (`wishbranch-repro`) dispatches entirely through this enum, so
-//! the set of experiment names, their titles and their payload kinds live
-//! in exactly one place.
+//! This is the only way to run an experiment: the CLI
+//! (`wishbranch-repro`), typed requests, the sweep server and the
+//! `wishbranch-bench` harness all dispatch through this enum, so the set of
+//! experiment names, their titles and their payload kinds live in exactly
+//! one place.
 
 use crate::ablation;
 use crate::engine::SweepRunner;
@@ -52,11 +54,14 @@ pub enum Experiment {
     AblMshr,
     /// Ablation — compiler wish-jump threshold N sweep.
     AblThresholds,
+    /// Ablation — §3.2 specialized wish-loop predictor biased to
+    /// overestimate trip counts, vs the hybrid predictor alone.
+    AblLoopPredictor,
 }
 
 impl Experiment {
     /// Every experiment, in presentation order.
-    pub const ALL: [Experiment; 18] = [
+    pub const ALL: [Experiment; 19] = [
         Experiment::Fig1,
         Experiment::Fig2,
         Experiment::Fig10,
@@ -75,6 +80,7 @@ impl Experiment {
         Experiment::AblConfidence,
         Experiment::AblMshr,
         Experiment::AblThresholds,
+        Experiment::AblLoopPredictor,
     ];
 
     /// The stable id used by the CLI and as the `--report-dir` file stem.
@@ -99,6 +105,7 @@ impl Experiment {
             Experiment::AblConfidence => "abl_confidence",
             Experiment::AblMshr => "abl_mshr",
             Experiment::AblThresholds => "abl_thresholds",
+            Experiment::AblLoopPredictor => "abl_loop_predictor",
         }
     }
 
@@ -109,85 +116,86 @@ impl Experiment {
     }
 
     /// Runs the experiment on `runner` and wraps the result as a
-    /// [`Report`]. Figure titles come from the figure itself; the other
-    /// kinds carry fixed titles.
+    /// [`Report`] under [`Experiment::id`]. Figure titles come from the
+    /// figure itself; the other kinds carry fixed titles.
     #[must_use]
-    #[allow(deprecated)] // the catalog is the blessed caller of the old entry points
     pub fn run(self, runner: &SweepRunner) -> Report {
+        let id = self.id();
+        let report = |title: &str, data| Report {
+            id: id.into(),
+            title: title.into(),
+            data,
+        };
+        let sweep = |title: &str, param: &str, rows| {
+            report(
+                title,
+                ReportData::ParamSweep {
+                    param: param.into(),
+                    rows,
+                },
+            )
+        };
         match self {
-            Experiment::Fig1 => Report::figure("fig1", figures::figure1(runner)),
-            Experiment::Fig2 => Report::figure("fig2", figures::figure2(runner)),
-            Experiment::Fig10 => Report::figure("fig10", figures::figure10(runner)),
-            Experiment::Fig11 => Report {
-                id: "fig11".into(),
-                title: "Fig.11: dynamic wish jumps/joins per 1M retired µops by class".into(),
-                data: ReportData::Confidence(figures::figure11(runner)),
-            },
-            Experiment::Fig12 => Report::figure("fig12", figures::figure12(runner)),
-            Experiment::Fig13 => Report {
-                id: "fig13".into(),
-                title: "Fig.13: dynamic wish loops per 1M retired µops by class".into(),
-                data: ReportData::LoopBreakdown(figures::figure13(runner)),
-            },
-            Experiment::Fig14 => Report {
-                id: "fig14".into(),
-                title: "Fig.14: instruction window sweep".into(),
-                data: ReportData::ParamSweep {
-                    param: "window".into(),
-                    rows: figures::figure14(runner),
-                },
-            },
-            Experiment::Fig14Mem => Report {
-                id: "fig14_mem_latency".into(),
-                title: "Fig.14-mem: memory-latency sweep, non-blocking hierarchy".into(),
-                data: ReportData::ParamSweep {
-                    param: "mem_latency".into(),
-                    rows: figures::figure14_mem_latency(runner),
-                },
-            },
-            Experiment::Fig15 => Report {
-                id: "fig15".into(),
-                title: "Fig.15: pipeline depth sweep".into(),
-                data: ReportData::ParamSweep {
-                    param: "depth".into(),
-                    rows: figures::figure15(runner),
-                },
-            },
-            Experiment::Fig16 => Report::figure("fig16", figures::figure16(runner)),
-            Experiment::Tab4 => Report {
-                id: "tab4".into(),
-                title: "Table 4: simulated benchmarks".into(),
-                data: ReportData::Benchmarks(tables::table4(runner)),
-            },
-            Experiment::Tab5 => Report {
-                id: "tab5".into(),
-                title: "Table 5: exec-time reduction of wish-jjl binary over best binaries"
-                    .into(),
-                data: ReportData::BestBinary(tables::table5(runner)),
-            },
-            Experiment::Adaptive => Report::figure("adaptive", figures::figure_adaptive(runner)),
-            Experiment::Dhp => Report::figure("dhp", figures::figure_dhp(runner)),
+            Experiment::Fig1 => Report::figure(id, figures::figure1(runner)),
+            Experiment::Fig2 => Report::figure(id, figures::figure2(runner)),
+            Experiment::Fig10 => Report::figure(id, figures::figure10(runner)),
+            Experiment::Fig11 => report(
+                "Fig.11: dynamic wish jumps/joins per 1M retired µops by class",
+                ReportData::Confidence(figures::figure11(runner)),
+            ),
+            Experiment::Fig12 => Report::figure(id, figures::figure12(runner)),
+            Experiment::Fig13 => report(
+                "Fig.13: dynamic wish loops per 1M retired µops by class",
+                ReportData::LoopBreakdown(figures::figure13(runner)),
+            ),
+            Experiment::Fig14 => sweep(
+                "Fig.14: instruction window sweep",
+                "window",
+                figures::figure14(runner),
+            ),
+            Experiment::Fig14Mem => sweep(
+                "Fig.14-mem: memory-latency sweep, non-blocking hierarchy",
+                "mem_latency",
+                figures::figure14_mem_latency(runner),
+            ),
+            Experiment::Fig15 => sweep(
+                "Fig.15: pipeline depth sweep",
+                "depth",
+                figures::figure15(runner),
+            ),
+            Experiment::Fig16 => Report::figure(id, figures::figure16(runner)),
+            Experiment::Tab4 => report(
+                "Table 4: simulated benchmarks",
+                ReportData::Benchmarks(tables::table4(runner)),
+            ),
+            Experiment::Tab5 => report(
+                "Table 5: exec-time reduction of wish-jjl binary over best binaries",
+                ReportData::BestBinary(tables::table5(runner)),
+            ),
+            Experiment::Adaptive => Report::figure(id, figures::figure_adaptive(runner)),
+            Experiment::Dhp => Report::figure(id, figures::figure_dhp(runner)),
             Experiment::PredPred => {
-                Report::figure("predpred", figures::figure_predicate_prediction(runner))
+                Report::figure(id, figures::figure_predicate_prediction(runner))
             }
             Experiment::AblConfidence => Report::ablation(
-                "abl_confidence",
+                id,
                 "Ablation: JRS threshold vs avg wish-jjl exec time (normalized to normal)",
                 "threshold",
                 ablation::confidence_threshold_sweep(runner, &[2, 5, 9, 13, 15]),
             ),
             Experiment::AblMshr => Report::ablation(
-                "abl_mshr",
+                id,
                 "Ablation: MSHRs vs avg wish-jjl exec time (normalized; 0 = unlimited)",
                 "mshrs",
                 ablation::mshr_sweep(runner, &[0, 32, 8, 2]),
             ),
             Experiment::AblThresholds => Report::ablation(
-                "abl_thresholds",
+                id,
                 "Ablation: wish-jump threshold N vs avg wish-jjl exec time (normalized)",
                 "N",
                 ablation::wish_threshold_sweep(runner, &[0, 3, 5, 9, 15]),
             ),
+            Experiment::AblLoopPredictor => Report::figure(id, ablation::loop_predictor(runner, 2)),
         }
     }
 }

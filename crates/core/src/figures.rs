@@ -1,21 +1,24 @@
 //! Regeneration of every figure in the paper's evaluation (§5).
 //!
-//! Each function returns typed rows; the `wishbranch-bench` crate prints
-//! them in the paper's format. Execution times are normalized to the
+//! Each builder returns typed rows, which the [`Experiment`] catalog wraps
+//! in a [`Report`](crate::Report). Execution times are normalized to the
 //! normal-branch binary on the same machine and input, exactly as in the
 //! paper ("all execution time results are normalized to the execution time
 //! of the normal branch binaries", §4.2).
 //!
-//! Every figure is a plain `fn figureN(&SweepRunner)` over a caller-owned
-//! runner: the figure submits its whole job list in one batch, so figures
-//! that share a runner share the profile/compile caches and keep every
-//! worker busy — that is how `wishbranch-repro all` compiles each binary
-//! exactly once across the entire reproduction. Results are deterministic
-//! and identical for any worker count (the engine's determinism contract).
+//! Every builder submits its whole job list to a caller-owned runner in
+//! one batch, so experiments that share a runner share the profile/compile
+//! caches and keep every worker busy — that is how `wishbranch-repro all`
+//! compiles each binary exactly once across the entire reproduction.
+//! Results are deterministic and identical for any worker count (the
+//! engine's determinism contract).
+//!
+//! [`Experiment`]: crate::Experiment
 
-use crate::engine::{SweepJob, SweepRunner, TrainSpec};
+use crate::engine::{JobResult, SweepJob, SweepRunner, TrainSpec};
+use crate::error::JobFailure;
 use wishbranch_compiler::BinaryVariant;
-use wishbranch_uarch::MachineConfig;
+use wishbranch_uarch::{MachineConfig, SimStats};
 use wishbranch_workloads::InputSet;
 
 /// One benchmark's normalized execution times across a figure's series.
@@ -40,18 +43,11 @@ pub struct FigureData {
     pub rows: Vec<NormalizedRow>,
 }
 
-/// Fig. 1 rows: BASE-DEF execution time normalized to the normal binary,
-/// per input set.
-pub type Fig1Row = NormalizedRow;
-
-/// Fig. 2 rows.
-pub type Fig2Row = NormalizedRow;
-
 /// Appends AVG and AVGnomcf rows. Averages are over *finite* values only,
 /// per series column: a failed cell (NaN gap) drops out of the mean
 /// instead of poisoning it. With no failures this is the plain mean.
 /// Returns the appended `(AVG, AVGnomcf)` series.
-fn append_averages(rows: &mut Vec<NormalizedRow>) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn append_averages(rows: &mut Vec<NormalizedRow>) -> (Vec<f64>, Vec<f64>) {
     let series = rows.first().map_or(0, |r| r.values.len());
     let mut avg = Vec::with_capacity(series);
     let mut avg_nomcf = Vec::with_capacity(series);
@@ -90,15 +86,18 @@ fn append_averages(rows: &mut Vec<NormalizedRow>) -> (Vec<f64>, Vec<f64>) {
     (avg, avg_nomcf)
 }
 
-/// Runs `jobs` on the runner and returns the retired-cycle count of each,
-/// in submission order — `None` for a failed job. The failure itself stays
-/// recorded on the runner ([`SweepRunner::failures`]) for the summary's
-/// failure table; here it only needs to become a gap.
-fn run_cycles(runner: &SweepRunner, jobs: Vec<SweepJob>) -> Vec<Option<u64>> {
-    runner
-        .try_run(jobs)
-        .into_iter()
-        .map(|r| r.ok().map(|r| r.outcome.sim.stats.cycles))
+/// Submits every block's jobs in one batch, in block order, and hands the
+/// results back split into the same blocks. A failed job stays recorded
+/// on the runner ([`SweepRunner::failures`]) for the summary's failure
+/// table; here it only needs to become a gap.
+fn run_blocks(
+    runner: &SweepRunner,
+    blocks: Vec<Vec<SweepJob>>,
+) -> Vec<Vec<Result<JobResult, JobFailure>>> {
+    let lens: Vec<usize> = blocks.iter().map(Vec::len).collect();
+    let mut results = runner.try_run(blocks.into_iter().flatten().collect()).into_iter();
+    lens.into_iter()
+        .map(|n| results.by_ref().take(n).collect())
         .collect()
 }
 
@@ -111,51 +110,142 @@ fn ratio(num: Option<u64>, den: Option<u64>) -> f64 {
     }
 }
 
+/// One group of [`normalized`]: a row per benchmark followed by the AVG
+/// and AVGnomcf rows, plus those two averages.
+pub(crate) struct Normalized {
+    /// Per-benchmark rows, then AVG and AVGnomcf.
+    pub(crate) rows: Vec<NormalizedRow>,
+    /// The AVG row's values.
+    pub(crate) avg: Vec<f64>,
+    /// The AVGnomcf row's values.
+    pub(crate) avg_nomcf: Vec<f64>,
+}
+
+/// The normalizer behind every execution-time figure and sweep. Runs one
+/// job block per `(group, benchmark)` — groups outer, benchmarks inner,
+/// each block as `block` builds it — in a single batch. Each block is cut
+/// into runs of `run` jobs, and every run adds its later jobs' cycle
+/// counts over its first job's to the benchmark's row (NaN when either
+/// side failed). Each group's rows then get AVG and AVGnomcf appended.
+pub(crate) fn normalized<G>(
+    runner: &SweepRunner,
+    groups: &[G],
+    run: usize,
+    block: impl Fn(&G, usize) -> Vec<SweepJob>,
+) -> Vec<Normalized> {
+    let nbench = runner.benches().len();
+    let block = &block;
+    let blocks = groups
+        .iter()
+        .flat_map(|g| (0..nbench).map(move |b| block(g, b)))
+        .collect();
+    let mut blocks = run_blocks(runner, blocks).into_iter();
+    groups
+        .iter()
+        .map(|_| {
+            let mut rows: Vec<NormalizedRow> = blocks
+                .by_ref()
+                .take(nbench)
+                .zip(runner.benches())
+                .map(|(results, bench)| {
+                    let cycles: Vec<Option<u64>> = results
+                        .into_iter()
+                        .map(|r| r.ok().map(|r| r.outcome.sim.stats.cycles))
+                        .collect();
+                    NormalizedRow {
+                        name: bench.name.into(),
+                        values: cycles
+                            .chunks_exact(run)
+                            .flat_map(|r| r[1..].iter().map(move |&c| ratio(c, r[0])))
+                            .collect(),
+                    }
+                })
+                .collect();
+            let (avg, avg_nomcf) = append_averages(&mut rows);
+            Normalized {
+                rows,
+                avg,
+                avg_nomcf,
+            }
+        })
+        .collect()
+}
+
+/// A one-group [`normalized`] figure.
+fn figure(
+    runner: &SweepRunner,
+    title: &str,
+    series: Vec<String>,
+    run: usize,
+    block: impl Fn(usize) -> Vec<SweepJob>,
+) -> FigureData {
+    FigureData {
+        title: title.into(),
+        series,
+        rows: normalized(runner, &[()], run, |(), b| block(b))
+            .into_iter()
+            .flat_map(|g| g.rows)
+            .collect(),
+    }
+}
+
+/// Runs one job block per benchmark in one batch and builds each
+/// benchmark's row from its name and its block's stats — `None` when a job
+/// of the block failed, so the row becomes an explicit gap.
+pub(crate) fn stat_rows<R>(
+    runner: &SweepRunner,
+    block: impl Fn(usize) -> Vec<SweepJob>,
+    row: impl Fn(String, Option<&[&SimStats]>) -> R,
+) -> Vec<R> {
+    let blocks = (0..runner.benches().len()).map(block).collect();
+    run_blocks(runner, blocks)
+        .into_iter()
+        .zip(runner.benches())
+        .map(|(results, bench)| {
+            let stats: Option<Vec<&SimStats>> = results
+                .iter()
+                .map(|r| r.as_ref().ok().map(|r| &r.outcome.sim.stats))
+                .collect();
+            row(bench.name.into(), stats.as_deref())
+        })
+        .collect()
+}
+
+pub(crate) fn labels(series: &[&str]) -> Vec<String> {
+    series.iter().map(|&s| s.into()).collect()
+}
+
 /// **Fig. 1** — execution time of the BASE-DEF predicated binary normalized
 /// to the normal-branch binary, per input set A/B/C. The compiler profiles
 /// on the training input only; the spread across inputs is the paper's
 /// motivation ("the performance of predicated execution is highly dependent
 /// on the run-time input set").
-#[deprecated(note = "run `Experiment::Fig1` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure1(runner: &SweepRunner) -> FigureData {
-    let ec = runner.config().clone();
-    let mut jobs = Vec::new();
-    for b in 0..runner.benches().len() {
-        for input in InputSet::ALL {
-            jobs.push(SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec));
-            jobs.push(SweepJob::standard(b, BinaryVariant::BaseDef, input, &ec));
-        }
-    }
-    let cycles = run_cycles(runner, jobs);
-    let mut rows = Vec::new();
-    for (b, chunk) in cycles.chunks_exact(2 * InputSet::ALL.len()).enumerate() {
-        let values = chunk
-            .chunks_exact(2)
-            .map(|pair| ratio(pair[1], pair[0]))
-            .collect();
-        rows.push(NormalizedRow {
-            name: runner.benches()[b].name.into(),
-            values,
-        });
-    }
-    append_averages(&mut rows);
-    FigureData {
-        title: "Fig.1: BASE-DEF exec time normalized to normal branches, per input".into(),
-        series: InputSet::ALL.iter().map(|s| s.label().into()).collect(),
-        rows,
-    }
+pub(crate) fn figure1(runner: &SweepRunner) -> FigureData {
+    let ec = runner.config();
+    figure(
+        runner,
+        "Fig.1: BASE-DEF exec time normalized to normal branches, per input",
+        InputSet::ALL.iter().map(|s| s.label().into()).collect(),
+        2,
+        |b| {
+            InputSet::ALL
+                .into_iter()
+                .flat_map(|input| {
+                    [BinaryVariant::NormalBranch, BinaryVariant::BaseDef]
+                        .map(|v| SweepJob::standard(b, v, input, ec))
+                })
+                .collect()
+        },
+    )
 }
 
 /// **Fig. 2** — where predication's overhead goes: BASE-MAX as-is, with
 /// predicate dependencies ideally removed (NO-DEPEND), with useless
 /// instructions also removed (NO-DEPEND + NO-FETCH), and the normal binary
 /// under perfect conditional branch prediction (PERFECT-CBP).
-#[deprecated(note = "run `Experiment::Fig2` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure2(runner: &SweepRunner) -> FigureData {
-    let ec = runner.config().clone();
-    let input = ec.train_input;
+pub(crate) fn figure2(runner: &SweepRunner) -> FigureData {
+    let ec = runner.config();
+    let job = |b, variant| SweepJob::standard(b, variant, ec.train_input, ec);
 
     let mut no_dep = ec.machine.clone();
     no_dep.oracles.no_pred_dependencies = true;
@@ -164,142 +254,117 @@ pub fn figure2(runner: &SweepRunner) -> FigureData {
     let mut perfect_cbp = ec.machine.clone();
     perfect_cbp.oracles.perfect_branch_prediction = true;
 
-    let mut jobs = Vec::new();
-    for b in 0..runner.benches().len() {
-        jobs.push(SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec));
-        jobs.push(SweepJob::standard(b, BinaryVariant::BaseMax, input, &ec));
-        jobs.push(
-            SweepJob::standard(b, BinaryVariant::BaseMax, input, &ec)
-                .with_machine(no_dep.clone()),
-        );
-        jobs.push(
-            SweepJob::standard(b, BinaryVariant::BaseMax, input, &ec)
-                .with_machine(no_dep_no_fetch.clone()),
-        );
-        jobs.push(
-            SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec)
-                .with_machine(perfect_cbp.clone()),
-        );
+    figure(
+        runner,
+        "Fig.2: predication overhead ideally eliminated (normalized exec time)",
+        labels(&["BASE-MAX", "NO-DEPEND", "NO-DEPEND+NO-FETCH", "PERFECT-CBP"]),
+        5,
+        |b| {
+            vec![
+                job(b, BinaryVariant::NormalBranch),
+                job(b, BinaryVariant::BaseMax),
+                job(b, BinaryVariant::BaseMax).with_machine(no_dep.clone()),
+                job(b, BinaryVariant::BaseMax).with_machine(no_dep_no_fetch.clone()),
+                job(b, BinaryVariant::NormalBranch).with_machine(perfect_cbp.clone()),
+            ]
+        },
+    )
+}
+
+/// A comparison series: label, binary, and whether the perfect-confidence
+/// oracle is on.
+type Contender = (&'static str, BinaryVariant, bool);
+
+/// The Fig. 10 series.
+const FIG10: [Contender; 4] = [
+    ("BASE-DEF", BinaryVariant::BaseDef, false),
+    ("BASE-MAX", BinaryVariant::BaseMax, false),
+    ("wish-jj (real-conf)", BinaryVariant::WishJumpJoin, false),
+    ("wish-jj (perf-conf)", BinaryVariant::WishJumpJoin, true),
+];
+/// The Fig. 12/16 series.
+const FIG12: [Contender; 5] = [
+    ("BASE-DEF", BinaryVariant::BaseDef, false),
+    ("BASE-MAX", BinaryVariant::BaseMax, false),
+    ("wish-jj (real-conf)", BinaryVariant::WishJumpJoin, false),
+    ("wish-jjl (real-conf)", BinaryVariant::WishJumpJoinLoop, false),
+    ("wish-jjl (perf-conf)", BinaryVariant::WishJumpJoinLoop, true),
+];
+/// The Fig. 14/15 sweep series.
+const SWEEP: [Contender; 4] = [
+    ("BASE-DEF", BinaryVariant::BaseDef, false),
+    ("BASE-MAX", BinaryVariant::BaseMax, false),
+    ("wish-jjl (real-conf)", BinaryVariant::WishJumpJoinLoop, false),
+    ("wish-jjl (perf-conf)", BinaryVariant::WishJumpJoinLoop, true),
+];
+
+/// One benchmark's comparison block: the normal-branch baseline, then each
+/// contender, all on `machine` and the training input.
+fn comparison_block(
+    runner: &SweepRunner,
+    machine: &MachineConfig,
+    contenders: &[Contender],
+    b: usize,
+) -> Vec<SweepJob> {
+    let ec = runner.config();
+    let input = ec.train_input;
+    let mut jobs = vec![
+        SweepJob::standard(b, BinaryVariant::NormalBranch, input, ec).with_machine(machine.clone()),
+    ];
+    for &(_, variant, perfect_conf) in contenders {
+        let mut m = machine.clone();
+        m.oracles.perfect_confidence = perfect_conf;
+        jobs.push(SweepJob::standard(b, variant, input, ec).with_machine(m));
     }
-    let cycles = run_cycles(runner, jobs);
-    let mut rows = Vec::new();
-    for (b, chunk) in cycles.chunks_exact(5).enumerate() {
-        let baseline = chunk[0];
-        rows.push(NormalizedRow {
-            name: runner.benches()[b].name.into(),
-            values: chunk[1..]
-                .iter()
-                .map(|&c| ratio(c, baseline))
-                .collect(),
-        });
-    }
-    append_averages(&mut rows);
-    FigureData {
-        title: "Fig.2: predication overhead ideally eliminated (normalized exec time)".into(),
-        series: vec![
-            "BASE-MAX".into(),
-            "NO-DEPEND".into(),
-            "NO-DEPEND+NO-FETCH".into(),
-            "PERFECT-CBP".into(),
-        ],
-        rows,
-    }
+    jobs
 }
 
 fn comparison_figure(
     runner: &SweepRunner,
     title: &str,
     machine: &MachineConfig,
-    variants: &[(&str, BinaryVariant, bool /* perfect confidence */)],
+    contenders: &[Contender],
 ) -> FigureData {
-    let ec = runner.config().clone();
-    let input = ec.train_input;
-    let mut jobs = Vec::new();
-    for b in 0..runner.benches().len() {
-        jobs.push(
-            SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec)
-                .with_machine(machine.clone()),
-        );
-        for &(_, variant, perfect_conf) in variants {
-            let mut m = machine.clone();
-            m.oracles.perfect_confidence = perfect_conf;
-            jobs.push(SweepJob::standard(b, variant, input, &ec).with_machine(m));
-        }
-    }
-    let cycles = run_cycles(runner, jobs);
-    let mut rows = Vec::new();
-    for (b, chunk) in cycles.chunks_exact(1 + variants.len()).enumerate() {
-        let baseline = chunk[0];
-        rows.push(NormalizedRow {
-            name: runner.benches()[b].name.into(),
-            values: chunk[1..]
-                .iter()
-                .map(|&c| ratio(c, baseline))
-                .collect(),
-        });
-    }
-    append_averages(&mut rows);
-    FigureData {
-        title: title.into(),
-        series: variants.iter().map(|&(l, _, _)| l.into()).collect(),
-        rows,
-    }
+    figure(
+        runner,
+        title,
+        contenders.iter().map(|&(l, _, _)| l.into()).collect(),
+        1 + contenders.len(),
+        |b| comparison_block(runner, machine, contenders, b),
+    )
 }
 
 /// **Fig. 10** — wish jump/join binaries vs the predicated baselines, with
 /// the real and a perfect confidence estimator.
-#[deprecated(note = "run `Experiment::Fig10` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure10(runner: &SweepRunner) -> FigureData {
+pub(crate) fn figure10(runner: &SweepRunner) -> FigureData {
     comparison_figure(
         runner,
         "Fig.10: performance of wish jump/join binaries (normalized exec time)",
-        &runner.config().machine.clone(),
-        &[
-            ("BASE-DEF", BinaryVariant::BaseDef, false),
-            ("BASE-MAX", BinaryVariant::BaseMax, false),
-            ("wish-jj (real-conf)", BinaryVariant::WishJumpJoin, false),
-            ("wish-jj (perf-conf)", BinaryVariant::WishJumpJoin, true),
-        ],
+        &runner.config().machine,
+        &FIG10,
     )
 }
 
 /// **Fig. 12** — adds wish loops.
-#[deprecated(note = "run `Experiment::Fig12` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure12(runner: &SweepRunner) -> FigureData {
+pub(crate) fn figure12(runner: &SweepRunner) -> FigureData {
     comparison_figure(
         runner,
         "Fig.12: performance of wish jump/join/loop binaries (normalized exec time)",
-        &runner.config().machine.clone(),
-        &[
-            ("BASE-DEF", BinaryVariant::BaseDef, false),
-            ("BASE-MAX", BinaryVariant::BaseMax, false),
-            ("wish-jj (real-conf)", BinaryVariant::WishJumpJoin, false),
-            ("wish-jjl (real-conf)", BinaryVariant::WishJumpJoinLoop, false),
-            ("wish-jjl (perf-conf)", BinaryVariant::WishJumpJoinLoop, true),
-        ],
+        &runner.config().machine,
+        &FIG12,
     )
 }
 
 /// **Fig. 16** — the Fig. 12 comparison on a machine using the select-µop
 /// mechanism instead of C-style conditional expressions (§5.3.3).
-#[deprecated(note = "run `Experiment::Fig16` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure16(runner: &SweepRunner) -> FigureData {
+pub(crate) fn figure16(runner: &SweepRunner) -> FigureData {
     let mut machine = runner.config().machine.clone();
     machine.pred_mechanism = wishbranch_uarch::PredMechanism::SelectUop;
     comparison_figure(
         runner,
         "Fig.16: wish branches on a select-µop machine (normalized exec time)",
         &machine,
-        &[
-            ("BASE-DEF", BinaryVariant::BaseDef, false),
-            ("BASE-MAX", BinaryVariant::BaseMax, false),
-            ("wish-jj (real-conf)", BinaryVariant::WishJumpJoin, false),
-            ("wish-jjl (real-conf)", BinaryVariant::WishJumpJoinLoop, false),
-            ("wish-jjl (perf-conf)", BinaryVariant::WishJumpJoinLoop, true),
-        ],
+        &FIG12,
     )
 }
 
@@ -319,47 +384,39 @@ pub struct Fig11Row {
     pub high_correct: f64,
 }
 
+/// One job of `variant` per benchmark on the training input. `row` builds
+/// each benchmark's row through a rate function that turns the count it
+/// picks into a per-million-µop rate, or NaN when the job failed.
+fn per_million_rows<R>(
+    runner: &SweepRunner,
+    variant: BinaryVariant,
+    row: impl Fn(String, &dyn Fn(fn(&SimStats) -> u64) -> f64) -> R,
+) -> Vec<R> {
+    let ec = runner.config();
+    stat_rows(
+        runner,
+        |b| vec![SweepJob::standard(b, variant, ec.train_input, ec)],
+        |name, stats| {
+            let rate = |count: fn(&SimStats) -> u64| {
+                stats.map_or(f64::NAN, |s| s[0].per_million_uops(count(s[0])))
+            };
+            row(name, &rate)
+        },
+    )
+}
+
 /// **Fig. 11** — the confidence-estimate breakdown for wish jumps + joins
 /// in the wish jump/join binary.
-#[deprecated(note = "run `Experiment::Fig11` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure11(runner: &SweepRunner) -> Vec<Fig11Row> {
-    let ec = runner.config().clone();
-    let jobs = (0..runner.benches().len())
-        .map(|b| SweepJob::standard(b, BinaryVariant::WishJumpJoin, ec.train_input, &ec))
-        .collect();
-    runner
-        .try_run(jobs)
-        .into_iter()
-        .enumerate()
-        .map(|(b, r)| {
-            let name: String = runner.benches()[b].name.into();
-            match r {
-                Ok(r) => {
-                    let stats = r.outcome.sim.stats;
-                    let j = stats.wish_jumps;
-                    let o = stats.wish_joins;
-                    Fig11Row {
-                        name,
-                        low_mispredicted: stats
-                            .per_million_uops(j.low_mispredicted + o.low_mispredicted),
-                        low_correct: stats.per_million_uops(j.low_correct + o.low_correct),
-                        high_mispredicted: stats
-                            .per_million_uops(j.high_mispredicted + o.high_mispredicted),
-                        high_correct: stats.per_million_uops(j.high_correct + o.high_correct),
-                    }
-                }
-                // A failed benchmark keeps its row — as an explicit gap.
-                Err(_) => Fig11Row {
-                    name,
-                    low_mispredicted: f64::NAN,
-                    low_correct: f64::NAN,
-                    high_mispredicted: f64::NAN,
-                    high_correct: f64::NAN,
-                },
-            }
-        })
-        .collect()
+pub(crate) fn figure11(runner: &SweepRunner) -> Vec<Fig11Row> {
+    per_million_rows(runner, BinaryVariant::WishJumpJoin, |name, rate| Fig11Row {
+        name,
+        low_mispredicted: rate(|s| s.wish_jumps.low_mispredicted + s.wish_joins.low_mispredicted),
+        low_correct: rate(|s| s.wish_jumps.low_correct + s.wish_joins.low_correct),
+        high_mispredicted: rate(|s| {
+            s.wish_jumps.high_mispredicted + s.wish_joins.high_mispredicted
+        }),
+        high_correct: rate(|s| s.wish_jumps.high_correct + s.wish_joins.high_correct),
+    })
 }
 
 /// One Fig. 13 bar pair: dynamic wish loops per 1M retired µops, with the
@@ -383,46 +440,16 @@ pub struct Fig13Row {
 }
 
 /// **Fig. 13** — the wish-loop breakdown in the wish jump/join/loop binary.
-#[deprecated(note = "run `Experiment::Fig13` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure13(runner: &SweepRunner) -> Vec<Fig13Row> {
-    let ec = runner.config().clone();
-    let jobs = (0..runner.benches().len())
-        .map(|b| SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, ec.train_input, &ec))
-        .collect();
-    runner
-        .try_run(jobs)
-        .into_iter()
-        .enumerate()
-        .map(|(b, r)| {
-            let name: String = runner.benches()[b].name.into();
-            match r {
-                Ok(r) => {
-                    let stats = r.outcome.sim.stats;
-                    let l = stats.wish_loops;
-                    Fig13Row {
-                        name,
-                        low_no_exit: stats.per_million_uops(stats.loop_no_exits),
-                        low_late_exit: stats.per_million_uops(stats.loop_late_exits),
-                        low_early_exit: stats.per_million_uops(stats.loop_early_exits),
-                        low_correct: stats.per_million_uops(l.low_correct),
-                        high_mispredicted: stats.per_million_uops(l.high_mispredicted),
-                        high_correct: stats.per_million_uops(l.high_correct),
-                    }
-                }
-                // A failed benchmark keeps its row — as an explicit gap.
-                Err(_) => Fig13Row {
-                    name,
-                    low_no_exit: f64::NAN,
-                    low_late_exit: f64::NAN,
-                    low_early_exit: f64::NAN,
-                    low_correct: f64::NAN,
-                    high_mispredicted: f64::NAN,
-                    high_correct: f64::NAN,
-                },
-            }
-        })
-        .collect()
+pub(crate) fn figure13(runner: &SweepRunner) -> Vec<Fig13Row> {
+    per_million_rows(runner, BinaryVariant::WishJumpJoinLoop, |name, rate| Fig13Row {
+        name,
+        low_no_exit: rate(|s| s.loop_no_exits),
+        low_late_exit: rate(|s| s.loop_late_exits),
+        low_early_exit: rate(|s| s.loop_early_exits),
+        low_correct: rate(|s| s.wish_loops.low_correct),
+        high_mispredicted: rate(|s| s.wish_loops.high_mispredicted),
+        high_correct: rate(|s| s.wish_loops.high_correct),
+    })
 }
 
 /// One point of a machine-parameter sweep (Figs. 14/15): average normalized
@@ -439,86 +466,57 @@ pub struct SweepRow {
     pub avg_nomcf: Vec<f64>,
 }
 
-/// Runs the 4-variant comparison at every `(param, machine)` point as one
-/// batch, so all parameter values' jobs interleave across workers and the
-/// per-variant binaries compile once for the whole sweep.
-fn sweep(runner: &SweepRunner, machines: Vec<(u64, MachineConfig)>) -> Vec<SweepRow> {
-    let variants: [(&str, BinaryVariant, bool); 4] = [
-        ("BASE-DEF", BinaryVariant::BaseDef, false),
-        ("BASE-MAX", BinaryVariant::BaseMax, false),
-        ("wish-jjl (real-conf)", BinaryVariant::WishJumpJoinLoop, false),
-        ("wish-jjl (perf-conf)", BinaryVariant::WishJumpJoinLoop, true),
-    ];
-    let ec = runner.config().clone();
-    let input = ec.train_input;
-    let nbench = runner.benches().len();
-
-    let mut jobs = Vec::new();
-    for (_, machine) in &machines {
-        for b in 0..nbench {
-            jobs.push(
-                SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec)
-                    .with_machine(machine.clone()),
-            );
-            for &(_, variant, perfect_conf) in &variants {
-                let mut m = machine.clone();
-                m.oracles.perfect_confidence = perfect_conf;
-                jobs.push(SweepJob::standard(b, variant, input, &ec).with_machine(m));
-            }
-        }
-    }
-    let cycles = run_cycles(runner, jobs);
-
-    let jobs_per_point = nbench * (1 + variants.len());
-    machines
-        .iter()
-        .zip(cycles.chunks_exact(jobs_per_point))
-        .map(|(&(param, _), point)| {
-            let mut rows = Vec::new();
-            for (b, chunk) in point.chunks_exact(1 + variants.len()).enumerate() {
-                let baseline = chunk[0];
-                rows.push(NormalizedRow {
-                    name: runner.benches()[b].name.into(),
-                    values: chunk[1..]
-                        .iter()
-                        .map(|&c| ratio(c, baseline))
-                        .collect(),
-                });
-            }
-            let (avg, avg_nomcf) = append_averages(&mut rows);
-            SweepRow {
-                param,
-                series: variants.iter().map(|&(l, _, _)| l.into()).collect(),
-                avg,
-                avg_nomcf,
-            }
+/// Runs every `(param, machine)` point's blocks as one batch, so all
+/// parameter values' jobs interleave across workers and the per-variant
+/// binaries compile once for the whole sweep. Each block is a baseline
+/// followed by one job per series.
+fn sweep(
+    runner: &SweepRunner,
+    points: &[(u64, MachineConfig)],
+    series: Vec<String>,
+    block: impl Fn(&MachineConfig, usize) -> Vec<SweepJob>,
+) -> Vec<SweepRow> {
+    normalized(runner, points, 1 + series.len(), |(_, m), b| block(m, b))
+        .into_iter()
+        .zip(points)
+        .map(|(g, &(param, _))| SweepRow {
+            param,
+            series: series.clone(),
+            avg: g.avg,
+            avg_nomcf: g.avg_nomcf,
         })
         .collect()
 }
 
+/// The Fig. 14/15 sweep: the four [`SWEEP`] contenders at every point.
+fn contender_sweep(runner: &SweepRunner, points: &[(u64, MachineConfig)]) -> Vec<SweepRow> {
+    sweep(
+        runner,
+        points,
+        SWEEP.iter().map(|&(l, _, _)| l.into()).collect(),
+        |m, b| comparison_block(runner, m, &SWEEP, b),
+    )
+}
+
 /// **Fig. 14** — instruction-window sweep (128/256/512 entries).
-#[deprecated(note = "run `Experiment::Fig14` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure14(runner: &SweepRunner) -> Vec<SweepRow> {
+pub(crate) fn figure14(runner: &SweepRunner) -> Vec<SweepRow> {
     let ec = runner.config();
-    let machines = [128usize, 256, 512]
+    let points: Vec<_> = [128usize, 256, 512]
         .into_iter()
         .map(|w| (w as u64, ec.machine.clone().with_window(w)))
         .collect();
-    sweep(runner, machines)
+    contender_sweep(runner, &points)
 }
 
 /// **Fig. 15** — pipeline-depth sweep (10/20/30 stages) at a 256-entry
 /// window, as in the paper.
-#[deprecated(note = "run `Experiment::Fig15` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure15(runner: &SweepRunner) -> Vec<SweepRow> {
+pub(crate) fn figure15(runner: &SweepRunner) -> Vec<SweepRow> {
     let ec = runner.config();
-    let machines = [10u64, 20, 30]
+    let points: Vec<_> = [10u64, 20, 30]
         .into_iter()
         .map(|d| (d, ec.machine.clone().with_window(256).with_depth(d)))
         .collect();
-    sweep(runner, machines)
+    contender_sweep(runner, &points)
 }
 
 /// **Extension (Fig. 14-style)** — memory-latency sensitivity with the
@@ -538,14 +536,9 @@ pub fn figure15(runner: &SweepRunner) -> Vec<SweepRow> {
 /// `BASE-MAX` widens as memory latency grows (the
 /// `figure14_mem_latency_wish_advantage_grows_with_latency` shape test
 /// pins this).
-#[deprecated(note = "run `Experiment::Fig14Mem` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure14_mem_latency(runner: &SweepRunner) -> Vec<SweepRow> {
-    let ec = runner.config().clone();
+pub(crate) fn figure14_mem_latency(runner: &SweepRunner) -> Vec<SweepRow> {
+    let ec = runner.config();
     let input = ec.train_input;
-    let nbench = runner.benches().len();
-    let series = ["BASE-MAX", "wish-jjl (real-conf)", "PERFECT-CBP"];
-
     let points: Vec<(u64, MachineConfig)> = [50u64, 100, 200, 400]
         .into_iter()
         .map(|lat| {
@@ -562,57 +555,27 @@ pub fn figure14_mem_latency(runner: &SweepRunner) -> Vec<SweepRow> {
             (lat, m)
         })
         .collect();
-
-    let mut jobs = Vec::new();
-    for (_, machine) in &points {
-        for b in 0..nbench {
+    sweep(
+        runner,
+        &points,
+        labels(&["BASE-MAX", "wish-jjl (real-conf)", "PERFECT-CBP"]),
+        |machine, b| {
             // Baseline and the two contenders share the machine; the
             // PERFECT-CBP ceiling is the normal-branch binary with the
             // branch-prediction oracle on.
-            jobs.push(
-                SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec)
-                    .with_machine(machine.clone()),
-            );
-            jobs.push(
-                SweepJob::standard(b, BinaryVariant::BaseMax, input, &ec)
-                    .with_machine(machine.clone()),
-            );
-            jobs.push(
-                SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, input, &ec)
-                    .with_machine(machine.clone()),
-            );
+            let job = |variant| {
+                SweepJob::standard(b, variant, input, ec).with_machine(machine.clone())
+            };
             let mut perfect = machine.clone();
             perfect.oracles.perfect_branch_prediction = true;
-            jobs.push(
-                SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec)
-                    .with_machine(perfect),
-            );
-        }
-    }
-    let cycles = run_cycles(runner, jobs);
-
-    let jobs_per_point = nbench * 4;
-    points
-        .iter()
-        .zip(cycles.chunks_exact(jobs_per_point))
-        .map(|(&(param, _), point)| {
-            let mut rows = Vec::new();
-            for (b, chunk) in point.chunks_exact(4).enumerate() {
-                let baseline = chunk[0];
-                rows.push(NormalizedRow {
-                    name: runner.benches()[b].name.into(),
-                    values: chunk[1..].iter().map(|&c| ratio(c, baseline)).collect(),
-                });
-            }
-            let (avg, avg_nomcf) = append_averages(&mut rows);
-            SweepRow {
-                param,
-                series: series.iter().map(|&l| l.into()).collect(),
-                avg,
-                avg_nomcf,
-            }
-        })
-        .collect()
+            vec![
+                job(BinaryVariant::NormalBranch),
+                job(BinaryVariant::BaseMax),
+                job(BinaryVariant::WishJumpJoinLoop),
+                job(BinaryVariant::NormalBranch).with_machine(perfect),
+            ]
+        },
+    )
 }
 
 /// **Extension** — the §3.6/§7 input-dependence-aware compiler
@@ -620,40 +583,13 @@ pub fn figure14_mem_latency(runner: &SweepRunner) -> Vec<SweepRow> {
 /// jump/join/loop binary, evaluated across *all three* input sets. The
 /// adaptive compiler trains on inputs A and C; the fixed heuristics train
 /// on the experiment's training input as usual.
-#[deprecated(note = "run `Experiment::Adaptive` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure_adaptive(runner: &SweepRunner) -> FigureData {
-    let ec = runner.config().clone();
+pub(crate) fn figure_adaptive(runner: &SweepRunner) -> FigureData {
+    let ec = runner.config();
     let adaptive_train = TrainSpec::Multi(vec![InputSet::A, InputSet::C]);
-    let mut jobs = Vec::new();
-    for b in 0..runner.benches().len() {
-        for input in InputSet::ALL {
-            jobs.push(SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec));
-            jobs.push(SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, input, &ec));
-            jobs.push(
-                SweepJob::standard(b, BinaryVariant::WishAdaptive, input, &ec)
-                    .with_train(adaptive_train.clone()),
-            );
-        }
-    }
-    let cycles = run_cycles(runner, jobs);
-    let mut rows = Vec::new();
-    for (b, per_bench) in cycles.chunks_exact(3 * InputSet::ALL.len()).enumerate() {
-        let mut values = Vec::new();
-        for triple in per_bench.chunks_exact(3) {
-            values.push(ratio(triple[1], triple[0]));
-            values.push(ratio(triple[2], triple[0]));
-        }
-        rows.push(NormalizedRow {
-            name: runner.benches()[b].name.into(),
-            values,
-        });
-    }
-    append_averages(&mut rows);
-    FigureData {
-        title: "Extension: input-dependence-aware compiler (wish-jjl vs wish-adaptive, per input)"
-            .into(),
-        series: InputSet::ALL
+    figure(
+        runner,
+        "Extension: input-dependence-aware compiler (wish-jjl vs wish-adaptive, per input)",
+        InputSet::ALL
             .iter()
             .flat_map(|i| {
                 [
@@ -662,8 +598,21 @@ pub fn figure_adaptive(runner: &SweepRunner) -> FigureData {
                 ]
             })
             .collect(),
-        rows,
-    }
+        3,
+        |b| {
+            InputSet::ALL
+                .into_iter()
+                .flat_map(|input| {
+                    [
+                        SweepJob::standard(b, BinaryVariant::NormalBranch, input, ec),
+                        SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, input, ec),
+                        SweepJob::standard(b, BinaryVariant::WishAdaptive, input, ec)
+                            .with_train(adaptive_train.clone()),
+                    ]
+                })
+                .collect()
+        },
+    )
 }
 
 /// **Extension** — dynamic hammock predication (Klauser et al., §6.1 of the
@@ -672,53 +621,45 @@ pub fn figure_adaptive(runner: &SweepRunner) -> FigureData {
 /// The paper argues wish branches beat DHP because the compiler converts
 /// complex regions and loops that fetch-time hardware cannot; the wish rows
 /// should therefore win wherever loops or large regions matter.
-#[deprecated(note = "run `Experiment::Dhp` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure_dhp(runner: &SweepRunner) -> FigureData {
-    let ec = runner.config().clone();
-    let input = ec.train_input;
+pub(crate) fn figure_dhp(runner: &SweepRunner) -> FigureData {
+    let ec = runner.config();
+    let job = |b, variant| SweepJob::standard(b, variant, ec.train_input, ec);
     let mut dhp_machine = ec.machine.clone();
     dhp_machine.dhp_enabled = true;
 
-    let mut jobs = Vec::new();
-    for b in 0..runner.benches().len() {
-        jobs.push(SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec));
-        jobs.push(
-            SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec)
-                .with_machine(dhp_machine.clone()),
-        );
-        jobs.push(SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, input, &ec));
-    }
-    let results = runner.try_run(jobs);
-    let mut rows = Vec::new();
-    for (b, chunk) in results.chunks_exact(3).enumerate() {
-        let values = match (&chunk[0], &chunk[1], &chunk[2]) {
-            (Ok(normal), Ok(dhp), Ok(wish)) => {
-                let base = normal.outcome.sim.stats.cycles as f64;
-                let dhp_stats = &dhp.outcome.sim.stats;
-                vec![
-                    dhp_stats.cycles as f64 / base,
-                    wish.outcome.sim.stats.cycles as f64 / base,
-                    dhp_stats.dhp_predications as f64,
-                ]
-            }
-            // A failed job gaps the whole benchmark row.
-            _ => vec![f64::NAN; 3],
-        };
-        rows.push(NormalizedRow {
-            name: runner.benches()[b].name.into(),
-            values,
-        });
-    }
+    let mut rows = stat_rows(
+        runner,
+        |b| {
+            vec![
+                job(b, BinaryVariant::NormalBranch),
+                job(b, BinaryVariant::NormalBranch).with_machine(dhp_machine.clone()),
+                job(b, BinaryVariant::WishJumpJoinLoop),
+            ]
+        },
+        |name, stats| NormalizedRow {
+            name,
+            values: stats.map_or_else(
+                || vec![f64::NAN; 3],
+                |s| {
+                    let base = s[0].cycles as f64;
+                    vec![
+                        s[1].cycles as f64 / base,
+                        s[2].cycles as f64 / base,
+                        s[1].dhp_predications as f64,
+                    ]
+                },
+            ),
+        },
+    );
     append_averages(&mut rows);
     FigureData {
         title: "Extension: dynamic hammock predication (normal binary + DHP HW) vs wish branches"
             .into(),
-        series: vec![
-            "DHP (exec time)".into(),
-            "wish-jjl (exec time)".into(),
-            "DHP predications (count)".into(),
-        ],
+        series: labels(&[
+            "DHP (exec time)",
+            "wish-jjl (exec time)",
+            "DHP predications (count)",
+        ]),
         rows,
     }
 }
@@ -729,44 +670,24 @@ pub fn figure_dhp(runner: &SweepRunner) -> FigureData {
 /// prediction removes predication's execution delay but still fetches the
 /// useless instructions and flushes on hard predicates — the two costs
 /// wish branches avoid.
-#[deprecated(note = "run `Experiment::PredPred` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn figure_predicate_prediction(runner: &SweepRunner) -> FigureData {
-    let ec = runner.config().clone();
-    let input = ec.train_input;
+pub(crate) fn figure_predicate_prediction(runner: &SweepRunner) -> FigureData {
+    let ec = runner.config();
+    let job = |b, variant| SweepJob::standard(b, variant, ec.train_input, ec);
     let mut pp_machine = ec.machine.clone();
     pp_machine.predicate_prediction = true;
 
-    let mut jobs = Vec::new();
-    for b in 0..runner.benches().len() {
-        jobs.push(SweepJob::standard(b, BinaryVariant::NormalBranch, input, &ec));
-        jobs.push(SweepJob::standard(b, BinaryVariant::BaseMax, input, &ec));
-        jobs.push(
-            SweepJob::standard(b, BinaryVariant::BaseMax, input, &ec)
-                .with_machine(pp_machine.clone()),
-        );
-        jobs.push(SweepJob::standard(b, BinaryVariant::WishJumpJoinLoop, input, &ec));
-    }
-    let cycles = run_cycles(runner, jobs);
-    let mut rows = Vec::new();
-    for (b, chunk) in cycles.chunks_exact(4).enumerate() {
-        rows.push(NormalizedRow {
-            name: runner.benches()[b].name.into(),
-            values: vec![
-                ratio(chunk[1], chunk[0]),
-                ratio(chunk[2], chunk[0]),
-                ratio(chunk[3], chunk[0]),
-            ],
-        });
-    }
-    append_averages(&mut rows);
-    FigureData {
-        title: "Extension: predicate prediction (BASE-MAX + pred-pred HW) vs wish branches".into(),
-        series: vec![
-            "BASE-MAX".into(),
-            "BASE-MAX + pred-pred".into(),
-            "wish-jjl".into(),
-        ],
-        rows,
-    }
+    figure(
+        runner,
+        "Extension: predicate prediction (BASE-MAX + pred-pred HW) vs wish branches",
+        labels(&["BASE-MAX", "BASE-MAX + pred-pred", "wish-jjl"]),
+        4,
+        |b| {
+            vec![
+                job(b, BinaryVariant::NormalBranch),
+                job(b, BinaryVariant::BaseMax),
+                job(b, BinaryVariant::BaseMax).with_machine(pp_machine.clone()),
+                job(b, BinaryVariant::WishJumpJoinLoop),
+            ]
+        },
+    )
 }

@@ -21,9 +21,9 @@
 //!
 //! All experiments run through one [`SweepRunner`], which owns the
 //! memoized profile/compile caches and the worker pool. Build one, then
-//! hand it to any figure/table/ablation function — or go through the
-//! [`Experiment`] catalog, which wraps every paper experiment behind a
-//! stable id and returns a serializable [`Report`]:
+//! run any entry of the [`Experiment`] catalog on it: the catalog wraps
+//! every paper experiment behind a stable id and returns a serializable
+//! [`Report`]:
 //!
 //! ```
 //! use wishbranch_core::{Experiment, ExperimentConfig, SweepRunner};
@@ -56,11 +56,7 @@ mod store;
 mod tables;
 mod validate;
 
-#[allow(deprecated)]
-pub use ablation::{
-    confidence_threshold_sweep, loop_predictor_comparison, mshr_sweep, wish_threshold_sweep,
-    AblationPoint, LoopPredictorComparison,
-};
+pub use ablation::AblationPoint;
 pub use catalog::Experiment;
 pub use engine::{
     default_workers, JobObserver, JobPhases, JobResult, SweepJob, SweepRunner, SweepSummary,
@@ -73,13 +69,7 @@ pub use experiment::{
     simulate_lockstep, simulate_unverified, trace_binary, verify_retired_state, ExperimentConfig,
     RunOutcome, DEFAULT_STEP_BUDGET,
 };
-#[allow(deprecated)]
-pub use figures::{
-    figure1, figure10, figure11, figure12, figure13, figure14, figure14_mem_latency, figure15,
-    figure16, figure2,
-    figure_adaptive, figure_dhp, figure_predicate_prediction, Fig11Row, Fig13Row, Fig1Row,
-    Fig2Row, FigureData, NormalizedRow, SweepRow,
-};
+pub use figures::{Fig11Row, Fig13Row, FigureData, NormalizedRow, SweepRow};
 pub use render::{
     bar_chart, failure_table, fig11_table, fig13_table, sweep_summary_table, sweep_table,
     table4_table, table5_table, Table,
@@ -97,8 +87,7 @@ pub use serve::{
     RESPONSE_SCHEMA, WORKER_SPEC_SCHEMA,
 };
 pub use store::ArtifactStore;
-#[allow(deprecated)]
-pub use tables::{table4, table5, Table4Row, Table5Row};
+pub use tables::{Table4Row, Table5Row};
 pub use validate::{
     fuzz_lockstep, fuzz_lockstep_hierarchy, shrink_case, validate_suite,
     validate_suite_hierarchy, FuzzCase, FuzzOutcome, FuzzReport, ValidateReport,

@@ -1,7 +1,8 @@
 //! Regeneration of Tables 4 and 5.
 //!
 //! As with the figures, each table batches its jobs onto a caller-owned
-//! [`SweepRunner`].
+//! [`SweepRunner`], and the [`Experiment`](crate::Experiment) catalog
+//! wraps the rows in a report.
 
 use crate::engine::{SweepJob, SweepRunner};
 use wishbranch_compiler::BinaryVariant;
@@ -33,9 +34,7 @@ pub struct Table4Row {
 }
 
 /// **Table 4** — simulated benchmark characteristics.
-#[deprecated(note = "run `Experiment::Tab4` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn table4(runner: &SweepRunner) -> Vec<Table4Row> {
+pub(crate) fn table4(runner: &SweepRunner) -> Vec<Table4Row> {
     let ec = runner.config().clone();
     let input = ec.train_input;
     let mut jobs = Vec::new();
@@ -106,9 +105,7 @@ pub struct Table5Row {
 /// The paper stresses this comparison is *unrealistically generous to the
 /// baseline*: it assumes the compiler could know at compile time which
 /// binary wins at run time.
-#[deprecated(note = "run `Experiment::Tab5` through the Experiment catalog (or a typed SweepRequest via run_request) instead; this free-function entry point will be removed next release")]
-#[must_use]
-pub fn table5(runner: &SweepRunner) -> Vec<Table5Row> {
+pub(crate) fn table5(runner: &SweepRunner) -> Vec<Table5Row> {
     let ec = runner.config().clone();
     let input = ec.train_input;
     let variants = [

@@ -8,7 +8,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{
-    Experiment, ExperimentConfig, FaultKind, FaultPlan, JournalError, SweepJob, SweepRunner,
+    Experiment, ExperimentConfig, FaultKind, FaultPlan, JournalError, ReportData, SweepJob,
+    SweepRunner,
 };
 use wishbranch_workloads::{suite, InputSet};
 
@@ -77,6 +78,31 @@ fn injected_panic_is_one_failed_cell_and_the_rest_complete() {
     assert_eq!(summary.jobs, clean.len() as u64 - 1);
     assert_eq!(runner.failures().len(), 1);
     assert!(!runner.aborted());
+}
+
+/// In a report built from each benchmark's run statistics, a failed job
+/// keeps its benchmark's row as an explicit gap: every value NaN, while
+/// the other rows and the averages stay finite.
+#[test]
+fn failed_job_gaps_its_whole_benchmark_row() {
+    let ec = ExperimentConfig::quick(25);
+    let mut runner = SweepRunner::with_workers(&ec, 2);
+    // abl_loop_predictor submits (hybrid-only, biased) per benchmark, so
+    // job 3 is the second benchmark's biased run.
+    runner.set_fault_plan(FaultPlan::new().inject(3, FaultKind::Panic));
+    let report = Experiment::AblLoopPredictor.run(&runner);
+    let ReportData::Figure(fig) = &report.data else {
+        panic!("abl_loop_predictor did not return a figure")
+    };
+    assert_eq!(fig.rows.len(), suite(ec.scale).len() + 2);
+    for (i, row) in fig.rows.iter().enumerate() {
+        if i == 1 {
+            assert!(row.values.iter().all(|v| v.is_nan()), "{}: {:?}", row.name, row.values);
+        } else {
+            assert!(row.values.iter().all(|v| v.is_finite()), "{}: {:?}", row.name, row.values);
+        }
+    }
+    assert_eq!(runner.failures().len(), 1);
 }
 
 #[test]

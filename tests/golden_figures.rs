@@ -50,9 +50,9 @@ fn assert_close(label: &str, got: f64, want: f64) {
     );
 }
 
-/// Runs an experiment through the unified catalog API and unwraps the
-/// figure payload — so the golden values below also pin the
-/// `Experiment::run` → `Report` path, not just the raw figure functions.
+/// Runs an experiment through the catalog and unwraps the figure payload —
+/// so the golden values below pin the `Experiment::run` → `Report` path,
+/// the only way to run an experiment.
 fn run_figure(exp: Experiment, runner: &SweepRunner) -> (Report, FigureData) {
     let report = exp.run(runner);
     let ReportData::Figure(fig) = report.data.clone() else {

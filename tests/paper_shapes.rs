@@ -19,9 +19,8 @@ fn quick_runner() -> SweepRunner {
     SweepRunner::new(&quick())
 }
 
-/// Runs a catalog experiment and unwraps its figure payload — the typed
-/// route every external caller takes now that the free functions are
-/// deprecated.
+/// Runs a catalog experiment and unwraps its figure payload — the
+/// catalog is the only way to run an experiment.
 fn figure_of(exp: Experiment, runner: &SweepRunner) -> wishbranch_core::FigureData {
     match exp.run(runner).data {
         ReportData::Figure(fig) => fig,
@@ -252,4 +251,25 @@ fn adaptive_extension_never_loses_to_wjl_on_average() {
         adaptive_avg <= wjl_avg + 0.005,
         "the §3.6 extension must not lose on average: {adaptive_avg:.3} vs {wjl_avg:.3}"
     );
+}
+
+#[test]
+fn biased_loop_predictor_turns_early_exits_into_late_exits() {
+    let runner = quick_runner();
+    let report = Experiment::AblLoopPredictor.run(&runner);
+    assert_eq!(report.id, "abl_loop_predictor");
+    assert_eq!(report.kind(), "figure");
+    let ReportData::Figure(fig) = report.data else {
+        panic!("abl_loop_predictor did not return a figure")
+    };
+    assert_eq!(fig.series.len(), 5, "{:?}", fig.series);
+    let names: Vec<&str> = fig.rows.iter().map(|r| r.name.as_str()).collect();
+    let mut expected: Vec<&str> = runner.benches().iter().map(|b| b.name).collect();
+    expected.extend(["AVG", "AVGnomcf"]);
+    assert_eq!(names, expected);
+    // §3.2: overestimating the trip count makes late exits (no flush) more
+    // common than early exits (flush).
+    let avg = row(&fig, "AVG");
+    assert!(avg[1] < avg[0], "biasing must lower early exits: {avg:?}");
+    assert!(avg[3] > avg[2], "biasing must raise late exits: {avg:?}");
 }
