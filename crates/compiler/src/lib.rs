@@ -127,17 +127,6 @@ impl BinaryVariant {
             BinaryVariant::WishAdaptive => "wish-adaptive",
         }
     }
-
-    /// Whether this variant may contain wish branches.
-    #[must_use]
-    pub fn has_wish_branches(self) -> bool {
-        matches!(
-            self,
-            BinaryVariant::WishJumpJoin
-                | BinaryVariant::WishJumpJoinLoop
-                | BinaryVariant::WishAdaptive
-        )
-    }
 }
 
 impl std::fmt::Display for BinaryVariant {

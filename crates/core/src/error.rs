@@ -221,13 +221,12 @@ impl FaultPlan {
         let kinds = [FaultKind::Panic, FaultKind::Budget, FaultKind::Diverge];
         let mut placed = 0usize;
         // Bounded draw loop: k can exceed the number of distinct indices.
-        for draw in 0..k.saturating_mul(16).max(16) {
+        for _ in 0..k.saturating_mul(16).max(16) {
             if placed >= k || plan.faults.len() as u64 >= njobs {
                 break;
             }
             let idx = next() % njobs;
             if plan.faults.contains_key(&idx) {
-                let _ = draw;
                 continue;
             }
             plan.faults.insert(idx, kinds[placed % kinds.len()]);

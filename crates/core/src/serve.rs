@@ -1375,12 +1375,6 @@ pub fn client_stream_resilient(
 }
 
 impl ResilientStream {
-    /// Reconnects left before the stream gives up.
-    #[must_use]
-    pub fn reconnects_remaining(&self) -> u32 {
-        self.max_reconnects - self.reconnects_used
-    }
-
     fn reconnect(&mut self) -> Option<io::Error> {
         self.inner = None;
         self.pending_stats = None; // stale: from the dead connection

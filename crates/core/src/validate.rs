@@ -714,7 +714,6 @@ pub fn shrink_case(
                 improved = true;
             }
         }
-        let default = MachineConfig::default();
         let knobs: [&dyn Fn(&mut MachineConfig); 6] = [
             &|m| m.dhp_enabled = false,
             &|m| m.predicate_prediction = false,
@@ -735,7 +734,6 @@ pub fn shrink_case(
                 improved = true;
             }
         }
-        let _ = default;
         if !improved {
             return best;
         }

@@ -248,12 +248,6 @@ impl BranchKind {
     pub fn cond(pred: PredReg, sense: bool) -> BranchKind {
         BranchKind::Cond { pred, sense }
     }
-
-    /// Whether this is a conditional direct branch.
-    #[must_use]
-    pub fn is_conditional(self) -> bool {
-        matches!(self, BranchKind::Cond { .. })
-    }
 }
 
 /// The operation performed by a µop.
@@ -614,12 +608,6 @@ impl Insn {
             },
             _ => None,
         }
-    }
-
-    /// Whether this µop accesses data memory.
-    #[must_use]
-    pub fn is_mem(&self) -> bool {
-        matches!(self.kind, InsnKind::Load { .. } | InsnKind::Store { .. })
     }
 }
 

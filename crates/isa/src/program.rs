@@ -202,7 +202,6 @@ pub struct ProgramBuilder {
     // (µop index, label id) pairs needing patching at build time.
     fixups: Vec<(u32, Label)>,
     symbols: Vec<Symbol>,
-    entry: u32,
 }
 
 const UNBOUND: u32 = u32::MAX;
@@ -286,11 +285,6 @@ impl ProgramBuilder {
         self.insns.push(insn);
     }
 
-    /// Sets the entry point to the current position.
-    pub fn set_entry_here(&mut self) {
-        self.entry = self.insns.len() as u32;
-    }
-
     /// Resolves all labels and produces the program image.
     ///
     /// # Panics
@@ -308,7 +302,7 @@ impl ProgramBuilder {
         self.symbols.sort_by_key(|s| s.index);
         let p = Program {
             insns: self.insns,
-            entry: self.entry,
+            entry: 0,
             symbols: self.symbols,
         };
         p.validate();

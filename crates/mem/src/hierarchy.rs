@@ -605,12 +605,6 @@ impl MemoryHierarchy {
         (self.l1_mshrs.coalesced(), self.l2_mshrs.coalesced())
     }
 
-    /// Accesses refused with [`AccessOutcome::MshrFull`], per level.
-    #[must_use]
-    pub fn mshr_rejections(&self) -> (u64, u64) {
-        (self.l1_mshrs.rejected(), self.l2_mshrs.rejected())
-    }
-
     /// Prefetch fills issued into the MSHRs.
     #[must_use]
     pub fn prefetch_fills(&self) -> u64 {

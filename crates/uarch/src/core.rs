@@ -1,28 +1,17 @@
-//! The single-job simulator handle, and the pipeline vocabulary the lane
-//! engine is written in.
-//!
-//! [`Simulator`] is a thin facade over one lane of the out-of-order engine
-//! in [`crate::batch`] — the crate's only core. A [`crate::BatchSimulator`]
-//! runs N such lanes one after another over shared decoded tables; a
-//! `Simulator` runs one, optionally on buffers recycled from the previous
-//! job ([`SimScratch`]). Both produce the same [`SimResult`] for the same
-//! program, configuration and input.
-//!
-//! The types below the facade (branch metadata, front-end modes, the
-//! waiter list, the I-cache fetch gate, …) are the engine's shared
-//! vocabulary.
+//! The public simulation handles over the lane engine in [`crate::lane`],
+//! the crate's only core: [`Simulator`] runs one job on one lane,
+//! optionally on buffers recycled from the previous job ([`SimScratch`]),
+//! and [`BatchSimulator`] runs a list of jobs one after another. Both
+//! produce the same [`SimResult`] for the same program, configuration and
+//! input.
 
-use crate::batch::{Lane, LaneArenas};
 use crate::config::MachineConfig;
-use crate::decode::DecodedProgram;
+use crate::lane::{Lane, LaneArenas};
 use crate::stats::SimStats;
 use std::error::Error;
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::Arc;
-use wishbranch_bpred::{HybridToken, LoopToken, RasCheckpoint};
-use wishbranch_isa::{insn_addr, PredReg, Program, NUM_GPRS, NUM_PREDS};
-use wishbranch_mem::{AccessOutcome, MemoryHierarchy};
+use wishbranch_isa::{Program, RetireRecord, NUM_GPRS, NUM_PREDS};
 
 /// Errors from [`Simulator::run`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -59,155 +48,14 @@ pub struct SimResult {
     pub final_mem: std::collections::BTreeMap<u64, i64>,
 }
 
-/// Dynamic-hammock-predication fetch state: which region is currently
-/// being fetched under an injected guard.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum DhpState {
-    Off,
-    /// Guarding the fall-through arm. At `until`, either stop (triangle) or
-    /// redirect into the taken arm (`then` = (taken_start, taken_until,
-    /// skip_to-after-taken)).
-    GuardFall {
-        pred: PredReg,
-        negated: bool,
-        /// Architectural value of `pred` when the branch was fetched (the
-        /// renamed condition real hardware would hold).
-        cond: bool,
-        until: u32,
-        then: Option<(u32, u32, Option<u32>)>,
-    },
-    /// Guarding the taken arm under the complement; at `until`, optionally
-    /// skip the arm's trailing unconditional jump back to `skip_to`.
-    GuardTaken {
-        pred: PredReg,
-        negated: bool,
-        /// See [`DhpState::GuardFall::cond`].
-        cond: bool,
-        until: u32,
-        skip_to: Option<u32>,
-    },
-}
-
-/// Front-end mode of Fig. 8.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Mode {
-    Normal,
-    HighConf,
-    /// Low-confidence mode. For wish jumps/joins, `exit_target` is the
-    /// target of the branch that caused entry (fetching it exits the mode);
-    /// for wish loops, `loop_pc` identifies the loop being predicated.
-    LowConf {
-        exit_target: Option<u32>,
-        loop_pc: Option<u32>,
-    },
-}
-
-/// Branch metadata captured at fetch.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct BrMeta {
-    /// Direction fetch followed (conditional branches).
-    pub(crate) predicted_taken: bool,
-    /// pc fetch continued at.
-    pub(crate) predicted_next: u32,
-    /// Hybrid predictor token (conditional branches, non-oracle).
-    pub(crate) bp_token: Option<HybridToken>,
-    /// What the direction predictor said before any wish-branch forcing.
-    pub(crate) predictor_said_taken: bool,
-    /// GHR before this branch's speculative update.
-    pub(crate) ghr_checkpoint: u64,
-    /// GHR value used to index the confidence estimator.
-    pub(crate) conf_ghr: u64,
-    /// RAS state after this branch's own push/pop.
-    pub(crate) ras_checkpoint: RasCheckpoint,
-    /// Confidence estimate for wish branches (None = not a wish branch or
-    /// hardware disabled).
-    pub(crate) conf_high: Option<bool>,
-    /// Mode the front end was in when this branch was fetched (§3.5.4
-    /// footnote: recovery checks the mode at fetch, not at resolution).
-    pub(crate) fetch_mode: Mode,
-    /// Specialized wish-loop predictor token, when that predictor is
-    /// enabled and produced this prediction.
-    pub(crate) loop_token: Option<LoopToken>,
-    /// This branch was dynamically hammock-predicated (DHP): both arms are
-    /// in the pipeline under hardware guards, so it never flushes.
-    pub(crate) dhp: bool,
-}
-
-/// Role of a ROB entry under the select-µop mechanism.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Role {
-    /// The whole architectural µop (C-style, or unguarded).
-    Whole,
-    /// Select-µop expansion: the unguarded compute part.
-    Compute,
-    /// Select-µop expansion: the select merging under the predicate.
-    Select,
-}
-
-/// Inline capacity of a [`WaiterList`]; spills go to a pooled `Vec`.
-pub(crate) const WAITERS_INLINE: usize = 4;
-
-/// Consumers waiting on one producer's completion, in ascending ROB-id
-/// order (ids only grow between flushes, and a flush truncates the tail).
-/// Small-buffer inline; the rare spill vectors are recycled through
-/// the lane's `waiter_pool` across flushes so steady state allocates
-/// nothing per µop.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct WaiterList {
-    pub(crate) len: u32,
-    pub(crate) inline: [u64; WAITERS_INLINE],
-    pub(crate) spill: Vec<u64>,
-}
-
-impl WaiterList {
-    pub(crate) fn push(&mut self, id: u64) {
-        let l = self.len as usize;
-        if l < WAITERS_INLINE {
-            self.inline[l] = id;
-        } else {
-            self.spill.push(id);
-        }
-        self.len += 1;
-    }
-
-    /// The next `push` would land in the spill vector.
-    pub(crate) fn will_spill(&self) -> bool {
-        self.len as usize >= WAITERS_INLINE
-    }
-
-    /// Drops waiters with id > `boundary` (flush squash). The list is
-    /// ascending, so squashed ids form the tail.
-    pub(crate) fn truncate_above(&mut self, boundary: u64) {
-        while self.len > 0 {
-            let l = (self.len - 1) as usize;
-            let last = if l < WAITERS_INLINE {
-                self.inline[l]
-            } else {
-                self.spill[l - WAITERS_INLINE]
-            };
-            if last <= boundary {
-                break;
-            }
-            if l >= WAITERS_INLINE {
-                self.spill.pop();
-            }
-            self.len -= 1;
-        }
-    }
-}
-
 /// Simulates one program on one machine configuration. Create with
 /// [`Simulator::new`] (or [`Simulator::with_scratch`] to reuse a previous
 /// job's buffers), preload the input with [`Simulator::preload_mem`], then
 /// [`Simulator::run`].
-///
-/// A `Simulator` is one lane of the out-of-order engine that
-/// [`crate::BatchSimulator`] runs N at a time: a job simulated alone and
-/// the same job at any position in a batch produce equal results.
 pub struct Simulator<'p> {
     lane: Lane,
     /// The lane decodes `program` up front; the borrow ties the simulator
-    /// to it like a batch lane's [`crate::BatchLaneSpec`] does.
+    /// to it like a [`BatchLaneSpec`] does.
     program: PhantomData<&'p Program>,
 }
 
@@ -219,10 +67,7 @@ pub struct Simulator<'p> {
 /// allocation cache: a simulator built from a scratch pool is
 /// bit-identical to one built fresh.
 #[derive(Default)]
-pub struct SimScratch {
-    decoded: DecodedProgram,
-    arenas: LaneArenas,
-}
+pub struct SimScratch(LaneArenas);
 
 impl<'p> Simulator<'p> {
     /// Creates a simulator over `program` with cold predictors and caches.
@@ -240,11 +85,8 @@ impl<'p> Simulator<'p> {
         cfg: MachineConfig,
         scratch: &mut SimScratch,
     ) -> Simulator<'p> {
-        let mut decoded = std::mem::take(&mut scratch.decoded);
-        decoded.rebuild(program, &cfg);
-        let arenas = std::mem::take(&mut scratch.arenas);
         Simulator {
-            lane: Lane::new(cfg, Arc::new(decoded), arenas),
+            lane: Lane::new(program, cfg, std::mem::take(&mut scratch.0)),
             program: PhantomData,
         }
     }
@@ -252,11 +94,7 @@ impl<'p> Simulator<'p> {
     /// Returns this simulator's buffers to `scratch` for the next
     /// [`Simulator::with_scratch`] on the same worker.
     pub fn recycle(self, scratch: &mut SimScratch) {
-        let (decoded, arenas) = self.lane.into_parts();
-        scratch.arenas = arenas;
-        if let Ok(decoded) = Arc::try_unwrap(decoded) {
-            scratch.decoded = decoded;
-        }
+        scratch.0 = self.lane.into_arenas();
     }
 
     /// Enables pipeline event tracing (see [`crate::trace`]). Call before
@@ -282,7 +120,7 @@ impl<'p> Simulator<'p> {
     /// Takes the collected retired stream (empty if never enabled). One
     /// record per retired architectural µop in commit order; select-µop
     /// `Compute` halves are folded into their `Select` records.
-    pub fn take_retire_log(&mut self) -> Vec<wishbranch_isa::RetireRecord> {
+    pub fn take_retire_log(&mut self) -> Vec<RetireRecord> {
         self.lane.retire_log.take().unwrap_or_default()
     }
 
@@ -305,97 +143,83 @@ impl<'p> Simulator<'p> {
     }
 }
 
-/// Why the fetch stage is stalled (`fetch_stall_until` armed).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum StallReason {
-    /// I-cache miss in flight.
-    IMiss,
-    /// Redirect bubble: post-flush resteer or BTB-miss target bubble.
-    Redirect,
+/// One job of a [`BatchSimulator`]: a program reference, its machine
+/// configuration, the input memory image, and whether the
+/// retired-instruction stream should be collected (lockstep-oracle
+/// validation).
+pub struct BatchLaneSpec<'p> {
+    /// The compiled program this lane executes.
+    pub program: &'p Program,
+    /// The lane's machine configuration.
+    pub cfg: MachineConfig,
+    /// Data-memory preloads (program input), applied before cycle 0.
+    pub preload_mem: Vec<(u64, i64)>,
+    /// Collect a [`RetireRecord`] stream for this lane (retrieve with
+    /// [`BatchSimulator::take_retire_log`]).
+    pub retire_log: bool,
 }
 
-/// The fetch stage's I-cache gate: given the line the next µop lives on,
-/// decide whether fetch can proceed this cycle and arm the I-miss stall
-/// if not.
+/// Runs a list of jobs, one [`Simulator`] each, one after another in spec
+/// order. Nothing is shared between lanes, so every lane's [`SimResult`]
+/// equals the same job run alone.
 ///
-/// Under the flat model this is the legacy behaviour: access the I-cache,
-/// latch the line, and stall for the returned latency when it exceeds an
-/// L1-I hit. Under the non-blocking model the access goes through the
-/// I-side MSHRs: a `Pending` fill stalls fetch until the fill cycle (the
-/// line is latched so the post-fill resume does not re-access), and an
-/// `MshrFull` refusal retries next cycle without latching — no request
-/// was issued, so the retry must re-access.
+/// # Example
 ///
-/// Returns `true` when the line is available and fetch may consume the
-/// µop this cycle.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn fetch_line_gate(
-    mem: &mut MemoryHierarchy,
-    fetch_line: &mut Option<u64>,
-    fetch_stall_until: &mut u64,
-    fetch_stall_reason: &mut StallReason,
-    icache_hit_latency: u64,
-    fetch_pc: u32,
-    line: u64,
-    cycle: u64,
-) -> bool {
-    if *fetch_line == Some(line) {
-        return true;
-    }
-    if mem.realistic() {
-        match mem.fetch_access_nonblocking(insn_addr(fetch_pc), cycle) {
-            AccessOutcome::Ready(_) => {
-                *fetch_line = Some(line);
-                true
-            }
-            AccessOutcome::Pending(fill_at) => {
-                *fetch_line = Some(line);
-                *fetch_stall_until = fill_at;
-                *fetch_stall_reason = StallReason::IMiss;
-                false
-            }
-            AccessOutcome::MshrFull | AccessOutcome::PortBusy => {
-                // No request left the fetch stage: retry next cycle.
-                *fetch_stall_until = cycle + 1;
-                *fetch_stall_reason = StallReason::IMiss;
-                false
-            }
-        }
-    } else {
-        let lat = mem.fetch_access_at(insn_addr(fetch_pc), cycle);
-        *fetch_line = Some(line);
-        if lat > icache_hit_latency {
-            *fetch_stall_until = cycle + lat;
-            *fetch_stall_reason = StallReason::IMiss;
-            false
-        } else {
-            true
-        }
-    }
+/// ```
+/// use wishbranch_isa::{AluOp, Gpr, Insn, Operand, Program};
+/// use wishbranch_uarch::{BatchLaneSpec, BatchSimulator, MachineConfig};
+///
+/// let prog = Program::from_insns(vec![
+///     Insn::mov_imm(Gpr::new(1), 2),
+///     Insn::alu(AluOp::Add, Gpr::new(1), Gpr::new(1), Operand::imm(3)),
+///     Insn::halt(),
+/// ]);
+/// let specs: Vec<BatchLaneSpec> = (0..4)
+///     .map(|_| BatchLaneSpec {
+///         program: &prog,
+///         cfg: MachineConfig::default(),
+///         preload_mem: Vec::new(),
+///         retire_log: false,
+///     })
+///     .collect();
+/// let mut batch = BatchSimulator::new(&specs);
+/// for r in batch.run() {
+///     assert_eq!(r.expect("halts").final_regs[1], 5);
+/// }
+/// ```
+pub struct BatchSimulator<'p> {
+    sims: Vec<Simulator<'p>>,
 }
 
-/// Store-to-load-forwarding verdict for a ready load (see
-/// `Lane::forward_state`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum ForwardState {
-    /// Fully covered by the youngest older overlapping store whose data
-    /// is ready: take the value from the store queue at L1-hit latency.
-    Forward,
-    /// Partially covered: conservative replay — wait until the store
-    /// drains and read from the cache.
-    PartialOverlap,
-    /// No older in-flight store overlaps (or forwarding is off).
-    NoMatch,
-}
+impl<'p> BatchSimulator<'p> {
+    /// Builds one simulator per spec, with its input preloaded.
+    #[must_use]
+    pub fn new(specs: &[BatchLaneSpec<'p>]) -> BatchSimulator<'p> {
+        let sims = specs
+            .iter()
+            .map(|spec| {
+                let mut sim = Simulator::new(spec.program, spec.cfg.clone());
+                for &(addr, value) in &spec.preload_mem {
+                    sim.preload_mem(addr, value);
+                }
+                if spec.retire_log {
+                    sim.enable_retire_log();
+                }
+                sim
+            })
+            .collect();
+        BatchSimulator { sims }
+    }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum GuardPlan {
-    /// Unguarded.
-    None,
-    /// Guarded; producer already retired (value architecturally ready).
-    Ready,
-    /// Guarded; wait on this ROB producer.
-    Wait(u64),
-    /// Guarded; value known at rename (oracle or §3.5.3 elimination).
-    Known(bool),
+    /// Runs each lane to completion in spec order and returns one result
+    /// per lane, in the same order.
+    pub fn run(&mut self) -> Vec<Result<SimResult, SimError>> {
+        self.sims.iter_mut().map(Simulator::run).collect()
+    }
+
+    /// Takes lane `lane`'s retired-instruction stream (empty unless the
+    /// spec asked for it), exactly like [`Simulator::take_retire_log`].
+    pub fn take_retire_log(&mut self, lane: usize) -> Vec<RetireRecord> {
+        self.sims[lane].take_retire_log()
+    }
 }

@@ -1,13 +1,10 @@
-//! Pre-decoded per-PC program tables, read by every lane of the
-//! out-of-order engine.
+//! Pre-decoded per-PC program tables, read by every stage of the lane
+//! engine.
 //!
 //! Everything in a [`DecodedProgram`] is a pure function of the program
 //! text and the *decode-relevant* slice of the machine configuration
-//! (I-cache line size and the DHP knobs). [`crate::Simulator`] rebuilds
-//! one per run in recycled storage; [`crate::BatchSimulator`] builds one
-//! per distinct `(program, decode key)` pair and shares it read-only
-//! across all lanes of a batch — the "one shared pre-decoded µop cache"
-//! of the batched execution mode.
+//! (I-cache line size and the DHP knobs). Each lane owns one and rebuilds
+//! it per job in recycled storage (see [`crate::SimScratch`]).
 
 use wishbranch_isa::{insn_addr, AluOp, BranchKind, Gpr, Insn, InsnKind, PredReg, Program, WishType};
 
@@ -59,26 +56,7 @@ pub(crate) struct DhpPlan {
     pub(crate) then: Option<(u32, u32, Option<u32>)>,
 }
 
-/// The decode-relevant slice of a [`MachineConfig`]: two lanes whose
-/// configurations agree on these fields can share one [`DecodedProgram`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct DecodeKey {
-    pub(crate) line_bytes: u64,
-    pub(crate) dhp_enabled: bool,
-    pub(crate) dhp_max_block: u32,
-}
-
-impl DecodeKey {
-    pub(crate) fn of(cfg: &MachineConfig) -> DecodeKey {
-        DecodeKey {
-            line_bytes: cfg.mem.icache.line_bytes as u64,
-            dhp_enabled: cfg.dhp_enabled,
-            dhp_max_block: cfg.dhp_max_block,
-        }
-    }
-}
-
-/// A program pre-decoded against one [`DecodeKey`]: per-PC static facts,
+/// A program pre-decoded against one configuration: per-PC static facts,
 /// static DHP hammock plans, and the wish-loop PC set.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct DecodedProgram {
@@ -94,17 +72,10 @@ pub(crate) struct DecodedProgram {
 }
 
 impl DecodedProgram {
-    /// Decodes `program` under `cfg`'s [`DecodeKey`].
-    pub(crate) fn build(program: &Program, cfg: &MachineConfig) -> DecodedProgram {
-        let mut d = DecodedProgram::default();
-        d.rebuild(program, cfg);
-        d
-    }
-
-    /// Refills `self` from `program`, reusing the existing table
-    /// allocations (the `SimScratch` recycling path).
+    /// Refills `self` from `program` under `cfg`, reusing the existing
+    /// table allocations.
     pub(crate) fn rebuild(&mut self, program: &Program, cfg: &MachineConfig) {
-        let key = DecodeKey::of(cfg);
+        let line_bytes = cfg.mem.icache.line_bytes as u64;
         let n = program.len();
         self.pcs.clear();
         self.pcs.reserve(n);
@@ -118,7 +89,7 @@ impl DecodedProgram {
             let is_branch = insn.is_branch();
             let info = PcInfo {
                 insn,
-                line: insn_addr(pc) / key.line_bytes,
+                line: insn_addr(pc) / line_bytes,
                 is_branch,
                 is_cond_branch: insn.is_conditional_branch(),
                 is_halt: matches!(insn.kind, InsnKind::Halt),
@@ -143,17 +114,12 @@ impl DecodedProgram {
             if info.is_cond_branch && insn.wish == Some(WishType::Loop) {
                 self.wish_loop_pcs.push(pc);
             }
-            if key.dhp_enabled && info.is_cond_branch {
+            if cfg.dhp_enabled && info.is_cond_branch {
                 self.dhp_plans[pc as usize] =
-                    dhp_plan_static(program, key.dhp_max_block, pc, &insn);
+                    dhp_plan_static(program, cfg.dhp_max_block, pc, &insn);
             }
             self.pcs.push(info);
         }
-    }
-
-    /// Program length (number of decoded PCs).
-    pub(crate) fn len(&self) -> usize {
-        self.pcs.len()
     }
 }
 

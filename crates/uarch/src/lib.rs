@@ -21,9 +21,10 @@
 //!   §3.2 specialized biasable wish-loop predictor
 //!   ([`MachineConfig::wish_loop_predictor`]).
 //!
-//! There is one out-of-order engine. [`Simulator`] runs one job on a
-//! single lane of it; [`BatchSimulator`] runs N jobs as N lanes in
-//! lockstep, and each lane's result equals the job run alone.
+//! There is one out-of-order engine, written one module per pipeline
+//! stage. [`Simulator`] runs one job on a single lane of it;
+//! [`BatchSimulator`] runs N jobs one after another, and each job's result
+//! equals the job run alone.
 //!
 //! ## Methodology: speculative front-end emulator
 //!
@@ -58,16 +59,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 mod config;
 mod core;
 mod decode;
 mod emu;
+mod lane;
 mod stats;
 pub mod trace;
 
-pub use batch::{BatchLaneSpec, BatchSimulator};
 pub use config::{MachineConfig, OracleConfig, PredMechanism};
-pub use core::{SimError, SimResult, SimScratch, Simulator};
+pub use core::{BatchLaneSpec, BatchSimulator, SimError, SimResult, SimScratch, Simulator};
 pub use stats::{CycleAccounting, HotSiteCounts, LoopExitClass, SimStats, WishClassCounts};
 pub use trace::{render_trace, TraceEvent, TraceKind};

@@ -2,9 +2,10 @@
 //! of the out-of-order engine) must produce a `SimResult` **equal** to the
 //! same job run at any position in a [`BatchSimulator`] of N lanes —
 //! stats, cycle accounting, hot sites, cache counters, final architectural
-//! state and the retired-instruction stream. Lanes share only the decoded
-//! program tables; any dependence on batch width, position or batchmates
-//! is a bug. ("Scalar" in the test names means that one-job `Simulator`.)
+//! state and the retired-instruction stream. A batch runs one `Simulator`
+//! per lane, one after another, and lanes share nothing; any dependence on
+//! batch width, position or batchmates is a bug. ("Scalar" in the test
+//! names means that one-job `Simulator`.)
 //!
 //! What the engine computes is pinned separately: by the three golden
 //! lanes in `golden_figures.rs` (the third holds the answers of the

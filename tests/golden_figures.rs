@@ -554,10 +554,11 @@ fn regenerate_random_job_goldens() {
 // Third golden lane: the out-of-order engine against the retired scalar core.
 //
 // The simulator once carried two copies of its pipeline: a scalar core
-// behind `Simulator` and the structure-of-arrays lane core behind
-// `BatchSimulator`, proven equal job by job. The scalar copy is gone and
-// `Simulator` is now a one-lane view of the lane engine, so that
-// comparison became a tautology. These fingerprints keep the scalar core's
+// behind `Simulator` and a structure-of-arrays lane core behind
+// `BatchSimulator`, proven equal job by job. The scalar copy is gone: the
+// lane engine is the only core, `Simulator` runs one lane of it and
+// `BatchSimulator` runs one `Simulator` per job, so that comparison became
+// a tautology. These fingerprints keep the scalar core's
 // answers instead: they were generated by it, before its deletion, over
 // the `support::random_lane` draw of 64 seeds (every mechanism, all three
 // memory models), the I-miss-heavy program under five I-side
