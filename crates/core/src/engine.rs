@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use crate::error::{FaultKind, FaultPlan, JobError, JobFailure};
 use crate::experiment::{
-    input_image, lockstep_check, profile_on, simulate_on_image, verify_against_image,
+    input_image, job_label, lockstep_check, profile_on, simulate_on_image, verify_against_image,
     ExperimentConfig, RunOutcome,
 };
 use crate::journal::{encode_entry_on, fnv1a64, InputImage, JournalError, JournalWriter};
@@ -549,7 +549,7 @@ impl SweepRunner {
 
     /// Enables lockstep-oracle mode (`--oracle`): every job's simulation
     /// replays its retired-instruction stream through the in-order
-    /// reference oracle ([`crate::simulate_lockstep`]); a divergence
+    /// reference oracle ([`wishbranch_isa::LockstepOracle`]); a divergence
     /// surfaces as that job's [`JobError::VerifyDivergence`] — a failed
     /// cell, gap-rendered like any other — instead of poisoning the sweep.
     pub fn set_oracle(&mut self, on: bool) {
@@ -942,18 +942,19 @@ impl SweepRunner {
         };
         let t1 = Instant::now();
         let image = input_image(bench, job.input);
+        let label = job_label(bench, job.input);
         let lockstep = self.oracle && !machine.oracles.no_false_predicate_fetch;
         let (mut sim, records) =
             simulate_on_image(&binary.program, &image, machine, scratch, lockstep)?;
         if lockstep {
-            lockstep_check(&binary.program, bench, job.input, &image, &sim, &records)?;
+            lockstep_check(&binary.program, &label, &image, &sim, &records)?;
         }
         let simulate = t1.elapsed();
         if fault == Some(FaultKind::Diverge) {
             sim.final_mem.insert(u64::MAX, i64::MIN);
         }
         let t2 = Instant::now();
-        verify_against_image(&binary.program, bench, job.input, &image, &sim)?;
+        verify_against_image(&binary.program, &label, &image, &sim)?;
         let verify = t2.elapsed();
         let wall = t0.elapsed();
         if let Some(budget) = self.wall_budget {

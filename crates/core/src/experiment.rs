@@ -4,6 +4,11 @@
 //! step-budget overrun, or an architectural divergence is a [`JobError`]
 //! value, never a panic, so the sweep engine can isolate one bad job to
 //! one failed cell.
+//!
+//! The architectural check has one implementation: [`simulate_on_image`]
+//! with the retire log on, [`lockstep_check`], then
+//! [`verify_against_image`]. Oracle sweeps, suite validation and the
+//! fuzzer run all three; plain sweeps skip the lockstep replay.
 
 use crate::error::JobError;
 use wishbranch_compiler::{compile, BinaryVariant, CompileOptions, CompiledBinary};
@@ -158,6 +163,11 @@ pub fn input_image(bench: &Benchmark, input: InputSet) -> MemImage {
     MemImage::from_preload((bench.input_fn)(input))
 }
 
+/// The `"<bench> <input>"` label a job's divergence details start with.
+pub(crate) fn job_label(bench: &Benchmark, input: InputSet) -> String {
+    format!("{} {input}", bench.name)
+}
+
 /// Simulates `program` on `machine` with the benchmark's input set, and
 /// verifies the retired state against the functional reference machine.
 ///
@@ -176,26 +186,8 @@ pub fn simulate(
     let image = input_image(bench, input);
     let (result, _) =
         simulate_on_image(program, &image, machine, &mut SimScratch::default(), false)?;
-    verify_against_image(program, bench, input, &image, &result)?;
+    verify_against_image(program, &job_label(bench, input), &image, &result)?;
     Ok(result)
-}
-
-/// The cycle simulation alone, without the architectural cross-check.
-/// Prefer [`simulate`] unless you verify yourself.
-///
-/// # Errors
-///
-/// [`JobError::CycleBudgetExceeded`] if the simulation exhausts the
-/// machine's cycle budget.
-pub fn simulate_unverified(
-    program: &Program,
-    bench: &Benchmark,
-    input: InputSet,
-    machine: &MachineConfig,
-) -> Result<SimResult, JobError> {
-    let image = input_image(bench, input);
-    simulate_on_image(program, &image, machine, &mut SimScratch::default(), false)
-        .map(|(result, _)| result)
 }
 
 /// The cycle simulation of `program` preloaded with `image`, on
@@ -232,60 +224,23 @@ pub fn simulate_on_image(
     Ok((run?, records))
 }
 
-/// Simulates `program` with the retired-instruction stream enabled and
-/// replays every retirement through the lockstep reference oracle
-/// ([`wishbranch_isa::LockstepOracle`]): the committed PC chain, guard
-/// values, every register/predicate/memory write, and the legality of
-/// forced (non-architectural) wish/DHP directions are checked µop by µop,
-/// and the first divergent retirement is reported with full context. The
-/// run is then anchored twice: the oracle's final state must match the
-/// simulator's retired state, and the independent functional reference
-/// machine must agree on retired memory.
-///
-/// The NO-FETCH limit study (`no_false_predicate_fetch`) omits guard-false
-/// µops from the pipeline entirely, so its retired stream is not a
-/// contiguous architectural walk; lockstep replay is skipped for that
-/// oracle machine (the final-state verification still runs).
-///
-/// # Errors
-///
-/// [`JobError::CycleBudgetExceeded`] on budget exhaustion,
-/// [`JobError::VerifyDivergence`] naming the first divergent retirement
-/// (or final-state mismatch).
-pub fn simulate_lockstep(
-    program: &Program,
-    bench: &Benchmark,
-    input: InputSet,
-    machine: &MachineConfig,
-) -> Result<SimResult, JobError> {
-    let image = input_image(bench, input);
-    let lockstep = !machine.oracles.no_false_predicate_fetch;
-    let (result, records) =
-        simulate_on_image(program, &image, machine, &mut SimScratch::default(), lockstep)?;
-    if lockstep {
-        lockstep_check(program, bench, input, &image, &result, &records)?;
-    }
-    verify_against_image(program, bench, input, &image, &result)?;
-    Ok(result)
-}
-
 /// Replays a retired-instruction stream through the lockstep reference
-/// oracle, preloaded with the job's input `image`, and anchors the
-/// oracle's final state against the simulator's retired state. This is
-/// the oracle half of [`simulate_lockstep`], factored out so the engine
-/// can run it against the input image it already holds. Callers are
-/// responsible for skipping it for the NO-FETCH limit machine
+/// oracle ([`wishbranch_isa::LockstepOracle`]), preloaded with the job's
+/// input `image`: the committed PC chain, guard values, every
+/// register/predicate/memory write, and the legality of forced
+/// (non-architectural) wish/DHP directions are checked µop by µop, then
+/// the oracle's final state is anchored against the simulator's retired
+/// state. Callers skip it for the NO-FETCH limit machine
 /// (`no_false_predicate_fetch`), whose retired stream is not a contiguous
 /// architectural walk.
 ///
 /// # Errors
 ///
 /// [`JobError::VerifyDivergence`] naming the first divergent retirement
-/// or final-state mismatch.
+/// or final-state mismatch, prefixed with `label`.
 pub fn lockstep_check(
     program: &Program,
-    bench: &Benchmark,
-    input: InputSet,
+    label: &str,
     image: &MemImage,
     result: &SimResult,
     records: &[RetireRecord],
@@ -294,7 +249,6 @@ pub fn lockstep_check(
     for &(a, v) in image.words() {
         oracle.preload_mem(a, v);
     }
-    let label = format!("{} {input}", bench.name);
     for record in records {
         oracle.step(record).map_err(|d| JobError::VerifyDivergence {
             detail: format!("{label}: lockstep {d}"),
@@ -331,28 +285,28 @@ pub fn verify_retired_state(
     input: InputSet,
     result: &SimResult,
 ) -> Result<(), JobError> {
-    verify_against_image(program, bench, input, &input_image(bench, input), result)
+    verify_against_image(program, &job_label(bench, input), &input_image(bench, input), result)
 }
 
 /// [`verify_retired_state`] against an input image the caller already
 /// built. The reference runs on the shared image and keeps only the words
 /// it writes; one ordered walk then compares the simulator's final memory
 /// with the image overlaid by those writes, word by word. Every job runs
-/// its own reference and compares every word.
+/// its own reference and compares every word. Failure details start with
+/// `label`.
 ///
 /// # Errors
 ///
 /// As [`verify_retired_state`].
 pub fn verify_against_image(
     program: &Program,
-    bench: &Benchmark,
-    input: InputSet,
+    label: &str,
     image: &MemImage,
     result: &SimResult,
 ) -> Result<(), JobError> {
     let expect = Machine::new()
         .run_on(program, image, DEFAULT_STEP_BUDGET)
-        .map_err(|e| JobError::SimFault(format!("{} {input}: reference run failed: {e}", bench.name)))?;
+        .map_err(|e| JobError::SimFault(format!("{label}: reference run failed: {e}")))?;
     let retired = result.final_mem.iter().map(|(&a, &v)| (a, v));
     // The walk visits addresses in ascending order, so this is the lowest
     // differing address, which keeps the failure table actionable.
@@ -361,10 +315,7 @@ pub fn verify_against_image(
     match first {
         None => Ok(()),
         Some((addr, got, want)) => Err(JobError::VerifyDivergence {
-            detail: format!(
-                "{} {input}: addr {addr:#x}: simulator {got:?}, reference {want:?}",
-                bench.name
-            ),
+            detail: format!("{label}: addr {addr:#x}: simulator {got:?}, reference {want:?}"),
         }),
     }
 }
@@ -422,7 +373,7 @@ pub fn trace_binary(
         SimError::CycleLimitExceeded { limit } => JobError::CycleBudgetExceeded { limit },
     })?;
     let trace = sim.take_trace();
-    verify_against_image(&bin.program, bench, input, &image, &result)?;
+    verify_against_image(&bin.program, &job_label(bench, input), &image, &result)?;
     Ok((result, trace))
 }
 
@@ -443,20 +394,6 @@ mod tests {
                     "{} {variant}: did too little work",
                     bench.name
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn lockstep_oracle_validates_every_variant() {
-        let ec = ExperimentConfig::quick(30);
-        for bench in suite(30) {
-            for variant in BinaryVariant::ALL {
-                let bin = compile_variant(&bench, variant, &ec).expect("compile");
-                simulate_lockstep(&bin.program, &bench, InputSet::B, &ec.machine)
-                    .unwrap_or_else(|e| {
-                        panic!("{} {variant}: lockstep diverged: {e}", bench.name)
-                    });
             }
         }
     }
@@ -504,7 +441,7 @@ mod tests {
         let bench = &suite(30)[0];
         let bin = compile_variant(bench, BinaryVariant::NormalBranch, &ec).expect("compile");
         let starved = ec.machine.clone().with_max_cycles(8);
-        match simulate_unverified(&bin.program, bench, InputSet::B, &starved) {
+        match simulate(&bin.program, bench, InputSet::B, &starved) {
             Err(JobError::CycleBudgetExceeded { limit: 8 }) => {}
             other => panic!("expected CycleBudgetExceeded, got {other:?}"),
         }
@@ -515,8 +452,7 @@ mod tests {
         let ec = ExperimentConfig::quick(30);
         let bench = &suite(30)[0];
         let bin = compile_variant(bench, BinaryVariant::NormalBranch, &ec).expect("compile");
-        let mut sim =
-            simulate_unverified(&bin.program, bench, InputSet::B, &ec.machine).expect("sim");
+        let mut sim = simulate(&bin.program, bench, InputSet::B, &ec.machine).expect("sim");
         sim.final_mem.insert(u64::MAX, i64::MIN);
         match verify_retired_state(&bin.program, bench, InputSet::B, &sim) {
             Err(JobError::VerifyDivergence { detail }) => {

@@ -65,9 +65,8 @@ pub use engine::{
 pub use error::{ChaosKind, ChaosPlan, FaultKind, FaultPlan, JobError, JobFailure};
 pub use journal::JournalError;
 pub use experiment::{
-    compile_adaptive_variant, compile_variant, profile_on, run_binary, simulate,
-    simulate_lockstep, simulate_unverified, trace_binary, verify_retired_state, ExperimentConfig,
-    RunOutcome, DEFAULT_STEP_BUDGET,
+    compile_adaptive_variant, compile_variant, profile_on, run_binary, simulate, trace_binary,
+    verify_retired_state, ExperimentConfig, RunOutcome, DEFAULT_STEP_BUDGET,
 };
 pub use figures::{Fig11Row, Fig13Row, FigureData, NormalizedRow, SweepRow};
 pub use render::{
@@ -89,8 +88,8 @@ pub use serve::{
 pub use store::ArtifactStore;
 pub use tables::{Table4Row, Table5Row};
 pub use validate::{
-    fuzz_lockstep, fuzz_lockstep_hierarchy, shrink_case, validate_suite,
-    validate_suite_hierarchy, FuzzCase, FuzzOutcome, FuzzReport, ValidateReport,
+    fuzz_lockstep, shrink_case, validate_suite, FuzzCase, FuzzOutcome, FuzzReport,
+    ValidateReport,
 };
 
 /// Everything most experiment drivers need, in one import:

@@ -594,26 +594,45 @@ pub fn throughput_json(s: &SweepSummary) -> String {
 #[must_use]
 pub fn summary_json_with_failures(s: &SweepSummary, failures: &[crate::JobFailure]) -> String {
     let mut base = summary_json(s);
+    base.truncate(base.len() - 1); // strip the closing brace, then extend
+    format!("{base},\"failures\":[{}]}}", failures_json(failures))
+}
+
+/// The elements of a `failures` array, comma-separated and without the
+/// brackets: one [`failure_item_json`] per failed job, labelled
+/// `bench<i> <variant> @<input>`. The summary document and the served
+/// `done` line both carry this list.
+pub(crate) fn failures_json(failures: &[crate::JobFailure]) -> String {
     let items: Vec<String> = failures
         .iter()
         .map(|f| {
-            format!(
-                "{{\"index\":{},\"kind\":{},\"job\":{},\"error\":{},\"attempts\":{}}}",
-                f.index,
-                jstr(f.error.kind()),
-                jstr(&format!(
-                    "bench{} {} @{}",
-                    f.job.bench,
-                    f.job.variant.label(),
-                    f.job.input.label()
-                )),
-                jstr(&f.error.to_string()),
-                f.attempts
-            )
+            let job = format!(
+                "bench{} {} @{}",
+                f.job.bench,
+                f.job.variant.label(),
+                f.job.input.label()
+            );
+            failure_item_json(f.index, f.error.kind(), &job, &f.error.to_string(), f.attempts)
         })
         .collect();
-    base.truncate(base.len() - 1); // strip the closing brace, then extend
-    format!("{base},\"failures\":[{}]}}", items.join(","))
+    items.join(",")
+}
+
+/// One element of a `failures` array:
+/// `{"index","kind","job","error","attempts"}`.
+pub(crate) fn failure_item_json(
+    index: u64,
+    kind: &str,
+    job: &str,
+    error: &str,
+    attempts: u32,
+) -> String {
+    format!(
+        "{{\"index\":{index},\"kind\":{},\"job\":{},\"error\":{},\"attempts\":{attempts}}}",
+        jstr(kind),
+        jstr(job),
+        jstr(error)
+    )
 }
 
 #[cfg(test)]

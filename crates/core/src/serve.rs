@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 use crate::error::{ChaosKind, ChaosPlan, FaultPlan};
 use crate::journal::encode_entry;
 use crate::minijson::JsonValue;
-use crate::report::json_escape;
+use crate::report::{failure_item_json, failures_json, json_escape};
 use crate::request::SweepRequest;
 use crate::store::ArtifactStore;
 
@@ -288,7 +288,7 @@ struct ShardStats {
     /// Jobs the shard ran fresh inside same-binary groups of two or more.
     batched_jobs: u64,
     /// The raw contents of the shard's `failures` array (no brackets).
-    failures_raw: String,
+    failures: String,
 }
 
 /// A shard-level failure: a stable `kind` for the failure table plus a
@@ -579,18 +579,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
                 total.compile_misses += stats.compile_misses;
                 total.sim_cycles += stats.sim_cycles;
                 total.batched_jobs += stats.batched_jobs;
-                if !stats.failures_raw.is_empty() {
-                    failure_items.push(stats.failures_raw);
+                if !stats.failures.is_empty() {
+                    failure_items.push(stats.failures);
                 }
             }
             Err(e) => {
                 total.failed += 1;
-                failure_items.push(format!(
-                    "{{\"index\":0,\"kind\":\"{}\",\"job\":\"{}\",\"error\":\"{}\",\"attempts\":0}}",
-                    json_escape(e.kind),
-                    json_escape(exp.id()),
-                    json_escape(&e.reason)
-                ));
+                failure_items.push(failure_item_json(0, e.kind, exp.id(), &e.reason, 0));
             }
         }
     }
@@ -812,28 +807,43 @@ fn spawn_and_stream(
         match rx.recv_timeout(wait) {
             Ok(Ok(line)) => {
                 last_activity = Instant::now();
-                match line_type(&line) {
-                    // Heartbeats prove liveness and are never forwarded.
-                    Some("heartbeat") => {}
-                    Some("job") => {
-                        // Validate before claiming the key: a torn or
-                        // garbled line must neither reach the client nor
-                        // block the real line a journal replay will send.
-                        if ResponseLine::parse(&line).is_ok() {
-                            if let Some(key) = job_line_key(&line) {
-                                if lock(seen).insert(key) {
-                                    lock(writer).send(&line);
-                                }
-                            }
-                        }
+                // Any line proves liveness. Only well-formed lines count
+                // beyond that: a torn or garbled `job` line must neither
+                // reach the client nor claim the key a journal replay will
+                // send again. Forwarded lines keep the worker's bytes.
+                match ResponseLine::parse(&line) {
+                    Ok(ResponseLine::Job { key, .. }) if lock(seen).insert(key) => {
+                        lock(writer).send(&line);
                     }
-                    Some("report") => {
-                        if ResponseLine::parse(&line).is_ok() {
-                            lock(writer).send(&line);
-                        }
+                    Ok(ResponseLine::Report { .. }) => lock(writer).send(&line),
+                    Ok(ResponseLine::Done {
+                        jobs,
+                        failed,
+                        store_hits,
+                        store_misses,
+                        store_quarantined,
+                        profile_misses,
+                        compile_misses,
+                        sim_cycles,
+                        batched_jobs,
+                        failures,
+                    }) => {
+                        stats = Some(ShardStats {
+                            jobs,
+                            failed,
+                            store_hits,
+                            store_misses,
+                            store_quarantined,
+                            profile_misses,
+                            compile_misses,
+                            sim_cycles,
+                            batched_jobs,
+                            failures,
+                        });
                     }
-                    Some("done") => stats = parse_shard_done(&line),
-                    _ => {} // stray worker output; never forwarded
+                    // Heartbeats, repeated keys, stray output and malformed
+                    // lines are never forwarded.
+                    _ => {}
                 }
             }
             // Pipe closed (worker exited) or errored: classify by whether
@@ -852,50 +862,6 @@ fn spawn_and_stream(
     let _ = child.wait(); // always reap; never leave a zombie
     let _ = reader.join();
     Ok(outcome)
-}
-
-/// The `type` of one of *our* response lines (emitter-controlled format:
-/// `schema` first, `type` second).
-fn line_type(line: &str) -> Option<&str> {
-    let rest = line.strip_prefix(&format!(
-        "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\""
-    ))?;
-    rest.split('"').next()
-}
-
-/// The top-level `"key":` of a job line (field order is fixed:
-/// `experiment`, `key`, `entry` — the first match is the top-level one).
-fn job_line_key(line: &str) -> Option<u64> {
-    let idx = line.find("\"key\":")?;
-    let digits: String = line[idx + 6..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
-}
-
-fn parse_shard_done(line: &str) -> Option<ShardStats> {
-    let doc = JsonValue::parse(line).ok()?;
-    let field = |name: &str| doc.get(name).and_then(JsonValue::as_u64);
-    let failures_raw = {
-        let start = line.find("\"failures\":[")? + "\"failures\":[".len();
-        let end = line.rfind(']')?;
-        line.get(start..end)?.to_string()
-    };
-    Some(ShardStats {
-        jobs: field("jobs")?,
-        failed: field("failed")?,
-        store_hits: field("store_hits")?,
-        store_misses: field("store_misses")?,
-        store_quarantined: field("store_quarantined")?,
-        profile_misses: field("profile_misses")?,
-        compile_misses: field("compile_misses")?,
-        sim_cycles: field("sim_cycles")?,
-        // Absent on done lines written before the batch dimension existed
-        // (e.g. a journal replayed across an upgrade): default to 0.
-        batched_jobs: field("batched_jobs").unwrap_or(0),
-        failures_raw,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1056,25 +1022,6 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
         );
     }
     let s = runner.summary();
-    let failure_items: Vec<String> = runner
-        .failures()
-        .iter()
-        .map(|f| {
-            format!(
-                "{{\"index\":{},\"kind\":\"{}\",\"job\":\"{}\",\"error\":\"{}\",\"attempts\":{}}}",
-                f.index,
-                json_escape(f.error.kind()),
-                json_escape(&format!(
-                    "bench{} {} @{}",
-                    f.job.bench,
-                    f.job.variant.label(),
-                    f.job.input.label()
-                )),
-                json_escape(&f.error.to_string()),
-                f.attempts
-            )
-        })
-        .collect();
     println!(
         "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"done\",\"jobs\":{},\"failed\":{},\
          \"store_hits\":{},\"store_misses\":{},\"store_quarantined\":{},\
@@ -1089,7 +1036,7 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
         s.compile_misses,
         s.sim_cycles,
         s.batched_jobs,
-        failure_items.join(",")
+        failures_json(&runner.failures())
     );
     Ok(false)
 }
@@ -1473,6 +1420,9 @@ mod tests {
                 "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"fig10\",\"key\":9,\"entry\":{{\"key\":9,\"v\":2,\"data\":[1,2]}}}}"
             ),
             format!(
+                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"fig10\",\"key\":18446744073709551615,\"entry\":{{\"key\":18446744073709551615,\"v\":2,\"data\":[]}}}}"
+            ),
+            format!(
                 "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"report\",\"experiment\":\"fig10\",\"report\":{{\"schema\":\"wishbranch.report/v1\"}}}}"
             ),
             format!(
@@ -1492,9 +1442,12 @@ mod tests {
         for line in &cases {
             let parsed = ResponseLine::parse(line).expect(line);
             match parsed {
-                ResponseLine::Job { key, ref entry, .. } => {
-                    assert_eq!(key, 9);
+                ResponseLine::Job { key: 9, ref entry, .. } => {
                     assert_eq!(entry, "{\"key\":9,\"v\":2,\"data\":[1,2]}");
+                }
+                ResponseLine::Job { key, ref entry, .. } => {
+                    assert_eq!(key, u64::MAX);
+                    assert_eq!(entry, "{\"key\":18446744073709551615,\"v\":2,\"data\":[]}");
                 }
                 ResponseLine::Report { ref report, .. } => {
                     assert_eq!(report, "{\"schema\":\"wishbranch.report/v1\"}");
@@ -1565,15 +1518,5 @@ mod tests {
             assert!(respawn_backoff(attempt) <= respawn_backoff(attempt + 1));
         }
         assert_eq!(respawn_backoff(1_000), Duration::from_millis(500));
-    }
-
-    #[test]
-    fn job_lines_classify_and_key() {
-        let line = format!(
-            "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"fig10\",\"key\":18446744073709551615,\"entry\":{{\"key\":18446744073709551615,\"v\":2,\"data\":[]}}}}"
-        );
-        assert_eq!(line_type(&line), Some("job"));
-        assert_eq!(job_line_key(&line), Some(u64::MAX));
-        assert_eq!(line_type("{\"schema\":\"x\"}"), None);
     }
 }

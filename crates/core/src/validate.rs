@@ -2,25 +2,32 @@
 //! random-program × random-config fuzz harness, and the divergence
 //! shrinker.
 //!
-//! The fuzzer generates small structured IR programs (straight-line code,
-//! input-dependent diamonds, bounded counted loops — including zero-trip
-//! loops), pushes each through the *real* profile → compile pipeline into
-//! one of the five Table 3 binary variants, simulates it on a randomized
-//! machine, and replays the retired stream through the lockstep oracle
-//! ([`wishbranch_isa::LockstepOracle`]). The first divergence is then
-//! minimized by [`shrink_case`]: delta-debugging over whole regions, then
-//! individual instructions, then structural simplifications (diamond →
-//! straight line, loop trip counts), then configuration fields — yielding
-//! a near-minimal program + config repro.
+//! Both entry points run the sweeps' one lockstep check (see
+//! [`crate::experiment`]), on the flat memory model or, with `hierarchy`,
+//! on the non-blocking hierarchy, which only moves timing.
+//! [`validate_suite`] is an `--oracle` sweep of the nine workloads × five
+//! Table 3 variants. The fuzzer generates small structured IR programs
+//! (straight-line code, input-dependent diamonds, bounded counted loops —
+//! including zero-trip loops), pushes each through the *real* profile →
+//! compile pipeline into one of the five variants, and checks it on a
+//! randomized machine. The first divergence is then minimized by
+//! [`shrink_case`]: delta-debugging over whole regions, then individual
+//! instructions, then structural simplifications (diamond → straight
+//! line, loop trip counts), then configuration fields — yielding a
+//! near-minimal program + config repro.
 
+use crate::engine::{SweepJob, SweepRunner};
 use crate::error::JobError;
-use crate::experiment::{simulate_lockstep, ExperimentConfig, DEFAULT_STEP_BUDGET};
+use crate::experiment::{
+    lockstep_check, simulate_on_image, verify_against_image, ExperimentConfig,
+};
 use wishbranch_compiler::{compile, BinaryVariant, CompileOptions};
 use wishbranch_ir::{FunctionBuilder, Interpreter, Module};
-use wishbranch_isa::exec::Machine;
-use wishbranch_isa::{AluOp, CmpOp, Gpr, LockstepOracle, Operand, Program, RetireRecord};
-use wishbranch_uarch::{MachineConfig, PredMechanism, SimError, Simulator};
-use wishbranch_workloads::{suite, InputSet};
+use wishbranch_isa::exec::MemImage;
+use wishbranch_isa::{AluOp, CmpOp, Gpr, Operand, Program, RetireRecord};
+use wishbranch_mem::MemConfig;
+use wishbranch_uarch::{MachineConfig, PredMechanism, SimScratch};
+use wishbranch_workloads::InputSet;
 
 /// Base address of the fuzz program's data area (inputs and stores).
 const BASE: u64 = 4096;
@@ -421,59 +428,34 @@ fn compile_case(case: &FuzzCase) -> Option<Program> {
     Some(compile(&module, &profile, case.variant, &case.compile).program)
 }
 
-/// Lockstep-checks one compiled case. `corrupt_records` is the test hook
-/// for injected commit-path mutations (applied to the retired stream
-/// before replay). `Ok(None)` = clean, `Ok(Some(detail))` = divergence,
-/// `Err(())` = the case could not be judged (cycle budget).
+/// Lockstep-checks one compiled case with the sweeps' check sequence.
+/// `corrupt_records` is the test hook for injected commit-path mutations
+/// (applied to the retired stream before replay). `Ok(None)` = clean,
+/// `Ok(Some(detail))` = divergence, `Err(())` = the case could not be
+/// judged (cycle budget).
 fn lockstep_program(
     program: &Program,
     case: &FuzzCase,
     corrupt_records: Option<&dyn Fn(&mut Vec<RetireRecord>)>,
 ) -> Result<Option<String>, ()> {
-    let inputs = case.input_mem();
-    let mut sim = Simulator::new(program, case.machine.clone());
-    for &(a, v) in &inputs {
-        sim.preload_mem(a, v);
-    }
-    sim.enable_retire_log();
-    let result = match sim.run() {
-        Ok(result) => result,
-        Err(SimError::CycleLimitExceeded { .. }) => return Err(()),
-    };
-    let mut records = sim.take_retire_log();
-    if let Some(corrupt) = corrupt_records {
-        corrupt(&mut records);
-    }
-    let mut oracle = LockstepOracle::new(program);
-    for &(a, v) in &inputs {
-        oracle.preload_mem(a, v);
-    }
-    for record in &records {
-        if let Err(d) = oracle.step(record) {
-            return Ok(Some(format!("lockstep {d}")));
-        }
-    }
-    if let Err(d) = oracle.finish(&result.final_regs, &result.final_preds, &result.final_mem) {
-        return Ok(Some(format!("lockstep {d}")));
-    }
-    // Independent anchor: the functional reference machine must agree on
-    // retired memory (it walks the architectural path itself, so it also
-    // cross-checks the oracle).
-    let mut reference = Machine::new();
-    for &(a, v) in &inputs {
-        reference.mem.insert(a, v);
-    }
-    match reference.run(program, DEFAULT_STEP_BUDGET) {
-        Ok(end) => {
-            if end.mem != result.final_mem {
-                return Ok(Some(
-                    "reference machine retired a different memory image".to_string(),
-                ));
+    let image = MemImage::from_preload(case.input_mem());
+    let label = format!("fuzz {}", case.variant.label());
+    let scratch = &mut SimScratch::default();
+    let checked = simulate_on_image(program, &image, &case.machine, scratch, true).and_then(
+        |(result, mut records)| {
+            if let Some(corrupt) = corrupt_records {
+                corrupt(&mut records);
             }
-        }
-        Err(e) => return Ok(Some(format!("reference machine faulted: {e}"))),
+            lockstep_check(program, &label, &image, &result, &records)?;
+            verify_against_image(program, &label, &image, &result)
+        },
+    );
+    match checked {
+        Ok(()) => Ok(None),
+        Err(JobError::CycleBudgetExceeded { .. }) => Err(()),
+        Err(JobError::VerifyDivergence { detail }) => Ok(Some(detail)),
+        Err(other) => Ok(Some(other.to_string())),
     }
-    Ok(None)
 }
 
 /// Runs one fuzz case end to end. `None` = clean (or unjudgeable),
@@ -520,70 +502,31 @@ impl FuzzReport {
     }
 }
 
-/// Runs `count` seeded random cases (cycling through the five binary
-/// variants) through the lockstep oracle; stops at the first divergence
-/// and minimizes it with [`shrink_case`].
-#[must_use]
-pub fn fuzz_lockstep(seed: u64, count: usize) -> FuzzReport {
-    let mut skipped = 0usize;
-    for index in 0..count {
-        let case = gen_case(seed, index as u64);
-        let Some(program) = compile_case(&case) else {
-            skipped += 1;
-            continue;
-        };
-        match lockstep_program(&program, &case, None) {
-            Err(()) => skipped += 1,
-            Ok(None) => {}
-            Ok(Some(detail)) => {
-                let minimized = shrink_case(&case, &mut check_case);
-                return FuzzReport {
-                    cases: index + 1,
-                    skipped,
-                    outcome: FuzzOutcome::Diverged {
-                        case: Box::new(case),
-                        minimized: Box::new(minimized),
-                        detail,
-                    },
-                };
-            }
-        }
-    }
-    FuzzReport {
-        cases: count,
-        skipped,
-        outcome: FuzzOutcome::Clean,
-    }
-}
-
-/// Switches a machine onto the full non-blocking memory hierarchy — the
-/// realistic preset: modest MSHR files on both sides (data and
-/// instruction), store-to-load forwarding, stride and next-line
-/// instruction prefetch, a finite write buffer and limited data ports —
-/// the configuration the hierarchy validation lanes run under. Tight caps
-/// on purpose: contention paths (coalescing, `MshrFull` / `PortBusy` /
-/// `WriteBufFull` retries, replays, wrong-path fill cancellation) are
-/// exactly what the oracle should exercise.
-fn enable_hierarchy(machine: &mut MachineConfig) {
-    machine.mem = wishbranch_mem::MemConfig::realistic_preset();
-}
-
-/// [`fuzz_lockstep`] with the non-blocking hierarchy enabled on every
-/// generated machine. The override happens *after* [`gen_case`] so the
-/// seeded draw stream — and therefore the flat-model fuzz corpus — is
-/// untouched: case `i` here runs the same program, inputs and variant as
-/// case `i` of the flat run, only the memory model differs. Timing-only
-/// mechanisms must never change architectural results, so any divergence
-/// is a hierarchy bug.
-#[must_use]
-pub fn fuzz_lockstep_hierarchy(seed: u64, count: usize) -> FuzzReport {
-    let mut skipped = 0usize;
-    for index in 0..count {
-        let mut case = gen_case(seed, index as u64);
-        enable_hierarchy(&mut case.machine);
+/// The `index`-th case of a fuzz run. With `hierarchy` its machine runs
+/// the realistic preset, whose tight MSHR, write-buffer and port caps
+/// drive the contention paths the oracle should exercise. The override
+/// follows [`gen_case`], so case `i` runs the same program, inputs and
+/// variant on either memory model.
+fn lane_case(seed: u64, index: u64, hierarchy: bool) -> FuzzCase {
+    let mut case = gen_case(seed, index);
+    if hierarchy {
+        case.machine.mem = MemConfig::realistic_preset();
         // Future-cycle fills stretch runtimes; keep the budget generous so
         // long-latency cases stay judgeable rather than skipped.
         case.machine.max_cycles = 8_000_000;
+    }
+    case
+}
+
+/// Runs `count` seeded random cases (cycling through the five binary
+/// variants) through the lockstep oracle, on the non-blocking hierarchy
+/// with `hierarchy`; stops at the first divergence and minimizes it with
+/// [`shrink_case`] under the same machine.
+#[must_use]
+pub fn fuzz_lockstep(seed: u64, count: usize, hierarchy: bool) -> FuzzReport {
+    let mut skipped = 0usize;
+    for index in 0..count {
+        let case = lane_case(seed, index as u64, hierarchy);
         let Some(program) = compile_case(&case) else {
             skipped += 1;
             continue;
@@ -592,8 +535,6 @@ pub fn fuzz_lockstep_hierarchy(seed: u64, count: usize) -> FuzzReport {
             Err(()) => skipped += 1,
             Ok(None) => {}
             Ok(Some(detail)) => {
-                // The case carries its (hierarchy-enabled) machine, so the
-                // shrinker reproduces under the same memory model.
                 let minimized = shrink_case(&case, &mut check_case);
                 return FuzzReport {
                     cases: index + 1,
@@ -740,13 +681,13 @@ pub fn shrink_case(
     }
 }
 
-/// One job of a suite validation run.
+/// The outcome of a suite validation run.
 #[derive(Clone, Debug)]
 pub struct ValidateReport {
     /// Jobs run (benchmark × variant).
     pub jobs: usize,
-    /// Failures: `(job label, divergence detail)`.
-    pub failures: Vec<(String, String)>,
+    /// Failures in submission order: `("<bench> <variant>", error)`.
+    pub failures: Vec<(String, JobError)>,
 }
 
 impl ValidateReport {
@@ -758,37 +699,35 @@ impl ValidateReport {
 }
 
 /// Lockstep-validates the full retirement stream of every Table 3 binary
-/// variant across all nine suite workloads at the experiment's scale.
+/// variant across all nine suite workloads at the experiment's scale, on
+/// the non-blocking hierarchy's realistic preset with `hierarchy`. The 45
+/// jobs run as one oracle sweep ([`SweepRunner::set_oracle`]) with the
+/// default worker count; a failed job is one typed failure.
 #[must_use]
-pub fn validate_suite(ec: &ExperimentConfig, input: InputSet) -> ValidateReport {
-    let mut jobs = 0usize;
-    let mut failures = Vec::new();
-    for bench in suite(ec.scale) {
-        for variant in BinaryVariant::ALL {
-            jobs += 1;
-            let label = format!("{} {}", bench.name, variant.label());
-            let outcome = crate::experiment::compile_variant(&bench, variant, ec)
-                .and_then(|bin| simulate_lockstep(&bin.program, &bench, input, &ec.machine));
-            match outcome {
-                Ok(_) => {}
-                Err(JobError::VerifyDivergence { detail }) => failures.push((label, detail)),
-                Err(other) => failures.push((label, other.to_string())),
-            }
-        }
-    }
-    ValidateReport { jobs, failures }
-}
-
-/// [`validate_suite`] with the non-blocking hierarchy enabled: the same
-/// 9 workloads × 5 variants, lockstep-checked under finite MSHRs,
-/// future-cycle fills, store-to-load forwarding and stride prefetch. The
-/// memory model only moves timing, so the oracle must still report zero
-/// divergences.
-#[must_use]
-pub fn validate_suite_hierarchy(ec: &ExperimentConfig, input: InputSet) -> ValidateReport {
+pub fn validate_suite(ec: &ExperimentConfig, input: InputSet, hierarchy: bool) -> ValidateReport {
     let mut ec = ec.clone();
-    enable_hierarchy(&mut ec.machine);
-    validate_suite(&ec, input)
+    if hierarchy {
+        ec.machine.mem = MemConfig::realistic_preset();
+    }
+    let mut runner = SweepRunner::new(&ec);
+    runner.set_oracle(true);
+    let jobs: Vec<SweepJob> = (0..runner.benches().len())
+        .flat_map(|b| BinaryVariant::ALL.map(|v| SweepJob::standard(b, v, input, &ec)))
+        .collect();
+    let count = jobs.len();
+    let failures = runner
+        .try_run(jobs)
+        .into_iter()
+        .filter_map(Result::err)
+        .map(|f| {
+            let bench = runner.benches()[f.job.bench].name;
+            (format!("{bench} {}", f.job.variant.label()), f.error)
+        })
+        .collect();
+    ValidateReport {
+        jobs: count,
+        failures,
+    }
 }
 
 #[cfg(test)]
@@ -799,7 +738,7 @@ mod tests {
     fn seeded_fuzz_run_is_clean() {
         // A slice of the CI gate's run: deterministic, so any divergence
         // here is reproducible with the same seed.
-        let report = fuzz_lockstep(0x5EED, 40);
+        let report = fuzz_lockstep(0x5EED, 40, false);
         match &report.outcome {
             FuzzOutcome::Clean => {}
             FuzzOutcome::Diverged {
@@ -825,45 +764,69 @@ mod tests {
 
     #[test]
     fn injected_commit_path_mutation_shrinks_to_a_tiny_repro() {
-        // The injected bug: the first retired register write's value is
-        // off by one — a seeded commit-path mutation the oracle must
-        // catch. The shrinker must reduce the repro to ≤ 20 instructions.
-        let corrupt = |records: &mut Vec<RetireRecord>| {
-            if let Some(rec) = records.iter_mut().find(|r| r.reg_write.is_some()) {
-                let (reg, v) = rec.reg_write.unwrap();
-                rec.reg_write = Some((reg, v.wrapping_add(1)));
+        for hierarchy in [false, true] {
+            // The injected bug: the first retired register write's value is
+            // off by one — a seeded commit-path mutation the oracle must
+            // catch. The shrinker must reduce the repro to ≤ 20 instructions
+            // on either memory model.
+            let corrupt = |records: &mut Vec<RetireRecord>| {
+                if let Some(rec) = records.iter_mut().find(|r| r.reg_write.is_some()) {
+                    let (reg, v) = rec.reg_write.unwrap();
+                    rec.reg_write = Some((reg, v.wrapping_add(1)));
+                }
+            };
+            let mut check = |case: &FuzzCase| -> Option<String> {
+                let program = compile_case(case)?;
+                lockstep_program(&program, case, Some(&corrupt)).ok().flatten()
+            };
+            // Find a seeded case that exercises the mutation (any case with a
+            // register write does).
+            let mut found = None;
+            for index in 0..50 {
+                let case = lane_case(0xDEAD_BEEF, index, hierarchy);
+                if check(&case).is_some() {
+                    found = Some(case);
+                    break;
+                }
             }
-        };
-        let mut check = |case: &FuzzCase| -> Option<String> {
-            let program = compile_case(case)?;
-            lockstep_program(&program, case, Some(&corrupt)).ok().flatten()
-        };
-        // Find a seeded case that exercises the mutation (any case with a
-        // register write does).
-        let mut found = None;
-        for index in 0..50 {
-            let case = gen_case(0xDEAD_BEEF, index);
-            if check(&case).is_some() {
-                found = Some(case);
-                break;
-            }
+            let case = found.expect("a case with a register write exists");
+            assert_eq!(case.machine.mem.realistic, hierarchy);
+            let minimized = shrink_case(&case, &mut check);
+            let detail = check(&minimized).expect("minimized case still reproduces");
+            assert!(detail.contains("lockstep"), "{detail}");
+            assert!(
+                minimized.insn_count() <= 20,
+                "hierarchy {hierarchy}: repro must be ≤ 20 instructions, got {} \n{}",
+                minimized.insn_count(),
+                minimized.describe()
+            );
         }
-        let case = found.expect("a case with a register write exists");
-        let minimized = shrink_case(&case, &mut check);
-        let detail = check(&minimized).expect("minimized case still reproduces");
-        assert!(detail.contains("lockstep"), "{detail}");
-        assert!(
-            minimized.insn_count() <= 20,
-            "repro must be ≤ 20 instructions, got {} \n{}",
-            minimized.insn_count(),
-            minimized.describe()
-        );
     }
 
     #[test]
     fn validate_suite_is_clean_at_tiny_scale() {
-        let report = validate_suite(&ExperimentConfig::quick(20), InputSet::B);
+        let report = validate_suite(&ExperimentConfig::quick(20), InputSet::B, false);
         assert_eq!(report.jobs, 45);
         assert!(report.passed(), "failures: {:?}", report.failures);
+    }
+
+    #[test]
+    fn starved_suite_validation_fails_every_job_with_a_typed_budget_error() {
+        let ec = ExperimentConfig::quick(20);
+        let ec = ec.clone().with_machine(ec.machine.with_max_cycles(8));
+        let report = validate_suite(&ec, InputSet::B, false);
+        assert_eq!(report.jobs, 45);
+        let expect: Vec<String> = wishbranch_workloads::suite(20)
+            .iter()
+            .flat_map(|b| BinaryVariant::ALL.map(|v| format!("{} {}", b.name, v.label())))
+            .collect();
+        let labels: Vec<&str> = report.failures.iter().map(|(l, _)| l.as_str()).collect();
+        assert_eq!(labels, expect);
+        for (label, error) in &report.failures {
+            assert!(
+                matches!(error, JobError::CycleBudgetExceeded { limit: 8 }),
+                "{label}: {error:?}"
+            );
+        }
     }
 }

@@ -78,11 +78,10 @@
 
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{
-    client_stream, client_stream_resilient, failure_table, fuzz_lockstep,
-    fuzz_lockstep_hierarchy, parse_input_set, summary_json_with_failures, sweep_summary_table,
-    trace_binary, validate_suite, validate_suite_hierarchy, worker_main, ChaosPlan, Experiment,
-    ExperimentConfig, FaultPlan, FuzzOutcome, JournalError, ResponseLine, ServeConfig, Server,
-    SweepRequest,
+    client_stream, client_stream_resilient, failure_table, fuzz_lockstep, parse_input_set,
+    summary_json_with_failures, sweep_summary_table, trace_binary, validate_suite, worker_main,
+    ChaosPlan, Experiment, ExperimentConfig, FaultPlan, FuzzOutcome, JobError, JournalError,
+    ResponseLine, ServeConfig, Server, SweepRequest,
 };
 use wishbranch_uarch::render_trace;
 use wishbranch_workloads::{suite, InputSet};
@@ -535,16 +534,19 @@ fn fatal(msg: &str) -> ! {
 }
 
 /// `wishbranch-repro validate [--scale N] [--quick] [--input A|B|C]
-/// [--fuzz N] [--seed S] [--repro-out FILE]`
+/// [--fuzz N] [--seed S] [--repro-out FILE] [--hierarchy]`
 ///
 /// Without `--fuzz`: runs every suite benchmark through every binary
-/// variant with the lockstep retirement oracle attached — exit 0 when
-/// every retirement matches the in-order reference, 3 on any divergence.
+/// variant as one `--oracle` sweep on the engine's worker pool
+/// (`WISHBRANCH_WORKERS` sets its size) — exit 0 when every retirement
+/// matches the in-order reference, 3 on any divergence.
 ///
 /// With `--fuzz N`: generates N seeded random programs × random machine
 /// configurations, checks each in lockstep, and on the first divergence
 /// shrinks it to a minimal reproducer (printed, and written to
 /// `--repro-out FILE` when given) before exiting 3.
+///
+/// `--hierarchy` runs either mode on the non-blocking memory hierarchy.
 fn validate_main(args: &[String]) {
     let mut scale = 200;
     let mut quick = false;
@@ -592,11 +594,7 @@ fn validate_main(args: &[String]) {
     }
 
     if let Some(count) = fuzz {
-        let report = if hierarchy {
-            fuzz_lockstep_hierarchy(seed, count)
-        } else {
-            fuzz_lockstep(seed, count)
-        };
+        let report = fuzz_lockstep(seed, count, hierarchy);
         println!(
             "fuzz: seed {seed:#x}{}, {} cases checked, {} skipped (compile-out or cycle budget)",
             if hierarchy { ", non-blocking hierarchy" } else { "" },
@@ -633,12 +631,14 @@ fn validate_main(args: &[String]) {
         } else {
             ExperimentConfig::paper(scale)
         };
-        let report = if hierarchy {
-            validate_suite_hierarchy(&ec, input)
-        } else {
-            validate_suite(&ec, input)
-        };
-        for (label, detail) in &report.failures {
+        let report = validate_suite(&ec, input, hierarchy);
+        for (label, error) in &report.failures {
+            // A divergence prints its detail alone: it already names the
+            // job, the input and the failing retirement or address.
+            let detail = match error {
+                JobError::VerifyDivergence { detail } => detail.clone(),
+                other => other.to_string(),
+            };
             eprintln!("validate: FAIL {label}: {detail}");
         }
         println!(

@@ -8,9 +8,7 @@
 //! retires.
 
 use wishbranch_compiler::BinaryVariant;
-use wishbranch_core::{
-    compile_variant, simulate_unverified, validate_suite_hierarchy, ExperimentConfig,
-};
+use wishbranch_core::{compile_variant, simulate, validate_suite, ExperimentConfig};
 use wishbranch_uarch::MachineConfig;
 use wishbranch_workloads::{suite, InputSet};
 
@@ -32,7 +30,7 @@ fn hierarchy_machine(base: &MachineConfig) -> MachineConfig {
 #[test]
 fn hierarchy_suite_replays_clean_through_the_oracle() {
     let ec = ExperimentConfig::quick(SCALE);
-    let report = validate_suite_hierarchy(&ec, InputSet::B);
+    let report = validate_suite(&ec, InputSet::B, true);
     assert!(
         report.passed(),
         "hierarchy lockstep divergences: {:?}",
@@ -52,10 +50,9 @@ fn hierarchy_matches_flat_model_architectural_state() {
     for bench in suite(SCALE) {
         for variant in [BinaryVariant::NormalBranch, BinaryVariant::BaseMax] {
             let bin = compile_variant(&bench, variant, &ec).expect("compile");
-            let flat = simulate_unverified(&bin.program, &bench, InputSet::B, &ec.machine)
-                .expect("flat run");
-            let hier =
-                simulate_unverified(&bin.program, &bench, InputSet::B, &real).expect("hier run");
+            let flat =
+                simulate(&bin.program, &bench, InputSet::B, &ec.machine).expect("flat run");
+            let hier = simulate(&bin.program, &bench, InputSet::B, &real).expect("hier run");
             let label = format!("{} {variant:?}", bench.name);
             assert_eq!(hier.final_regs, flat.final_regs, "{label}: registers diverged");
             assert_eq!(hier.final_preds, flat.final_preds, "{label}: predicates diverged");

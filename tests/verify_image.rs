@@ -10,7 +10,7 @@ use std::collections::{BTreeMap, HashMap};
 use proptest::prelude::*;
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{
-    compile_variant, simulate_unverified, verify_retired_state, ExperimentConfig, JobError,
+    compile_variant, simulate, verify_retired_state, ExperimentConfig, JobError,
     DEFAULT_STEP_BUDGET,
 };
 use wishbranch_isa::exec::{Machine, MemImage};
@@ -83,7 +83,7 @@ fn each_corruption_names_its_address() {
     let program = compile_variant(bench, BinaryVariant::NormalBranch, &ec)
         .expect("compile")
         .program;
-    let sim = simulate_unverified(&program, bench, InputSet::B, &ec.machine).expect("sim");
+    let sim = simulate(&program, bench, InputSet::B, &ec.machine).expect("sim");
     verify_retired_state(&program, bench, InputSet::B, &sim).expect("clean run verifies");
 
     let image = MemImage::from_preload((bench.input_fn)(InputSet::B));
