@@ -66,6 +66,10 @@ use wishbranch_workloads::{suite, Benchmark, InputSet};
 /// Environment variable overriding the worker count.
 pub const WORKERS_ENV: &str = "WISHBRANCH_WORKERS";
 
+/// Retries of a retryable failure (worker panic, budget overrun) before
+/// the job fails: one retry, two attempts total.
+const RETRY_LIMIT: u32 = 1;
+
 /// Locks a mutex, recovering the guard from a poisoned lock. Everything
 /// the engine guards (result slots, cache maps, counters, the journal) is
 /// structurally valid no matter where a worker panic landed, so poisoning
@@ -393,7 +397,6 @@ pub struct SweepRunner {
     next_index: AtomicU64,
     fault_plan: FaultPlan,
     aborted: AtomicBool,
-    retry_limit: u32,
     /// Lockstep-oracle mode (`--oracle`): every job's retired stream is
     /// replayed through [`wishbranch_isa::LockstepOracle`].
     oracle: bool,
@@ -485,7 +488,6 @@ impl SweepRunner {
             next_index: AtomicU64::new(0),
             fault_plan: FaultPlan::new(),
             aborted: AtomicBool::new(false),
-            retry_limit: 1,
             oracle: false,
             batch: 1,
             wall_budget: None,
@@ -541,12 +543,6 @@ impl SweepRunner {
         self.fault_plan = plan;
     }
 
-    /// Sets the bounded retry limit for retryable failures (worker panics
-    /// and budget overruns). Default 1: one retry, two attempts total.
-    pub fn set_retry_limit(&mut self, retries: u32) {
-        self.retry_limit = retries;
-    }
-
     /// Enables lockstep-oracle mode (`--oracle`): every job's simulation
     /// replays its retired-instruction stream through the in-order
     /// reference oracle ([`wishbranch_isa::LockstepOracle`]); a divergence
@@ -596,10 +592,10 @@ impl SweepRunner {
     /// The run-identity fingerprint stamped into this runner's journal
     /// header: an FNV-1a-64 hash over the experiment scale, machine
     /// configuration, compile options (floats by bit pattern) and
-    /// training input. Deliberately *excludes* the fault plan, worker
-    /// count and retry limit — none of those change what a job computes,
-    /// and a kill-then-resume cycle legitimately resumes without
-    /// re-injecting the fault that killed it.
+    /// training input. Deliberately *excludes* the fault plan and worker
+    /// count — neither changes what a job computes, and a kill-then-resume
+    /// cycle legitimately resumes without re-injecting the fault that
+    /// killed it.
     #[must_use]
     pub fn run_fingerprint(&self) -> u64 {
         let fingerprint = format!(
@@ -748,27 +744,6 @@ impl SweepRunner {
         self.try_run(jobs).into_iter().collect()
     }
 
-    /// Executes one job through the pool (used for one-off cached runs).
-    ///
-    /// # Errors
-    ///
-    /// The job's [`JobFailure`], if it failed.
-    pub fn run_job(&self, job: &SweepJob) -> Result<JobResult, JobFailure> {
-        self.try_run(vec![job.clone()])
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| {
-                // Structurally unreachable (one job in, one result out),
-                // but the job path must stay panic-free.
-                Err(JobFailure {
-                    job: job.clone(),
-                    index: 0,
-                    error: JobError::Aborted,
-                    attempts: 0,
-                })
-            })
-    }
-
     /// Records a failure in the runner's failure table and returns it.
     fn record_failure(
         &self,
@@ -905,7 +880,7 @@ impl SweepRunner {
                     self.land(&mut done, &image);
                     return Ok(done);
                 }
-                Err(error) if error.retryable() && attempts <= self.retry_limit => {
+                Err(error) if error.retryable() && attempts <= RETRY_LIMIT => {
                     self.retries.fetch_add(1, Ordering::Relaxed);
                 }
                 Err(error) => return Err(self.record_failure(job, index, error, attempts)),
@@ -1218,7 +1193,8 @@ mod tests {
         assert_eq!(summary.profile_hits, 0, "{summary:?}");
         // A second variant reuses the cached profile.
         let extra = SweepJob::standard(0, BinaryVariant::BaseMax, InputSet::A, &ec);
-        let _ = runner.run_job(&extra).expect("extra job");
+        let extra = runner.try_run(vec![extra]);
+        assert!(extra.iter().all(Result::is_ok), "extra job");
         let summary = runner.summary();
         assert_eq!(summary.profile_misses, 1, "{summary:?}");
         assert_eq!(summary.profile_hits, 1, "{summary:?}");

@@ -9,9 +9,10 @@
 //! them all; [`SweepRunner::try_run`](crate::SweepRunner::try_run) turns
 //! each failed job into one [`JobFailure`] cell instead of a dead sweep.
 //!
-//! [`FaultPlan`] is the deterministic fault-injection hook the tests and
-//! CI drive: it maps *global job submission indices* (a runner-lifetime
-//! counter, independent of worker count and scheduling) to injected
+//! [`FaultPlan`] (an [`InjectionPlan`] of [`FaultKind`]s) is the
+//! deterministic fault-injection hook the tests and CI drive: it maps
+//! *global job submission indices* (a runner-lifetime counter,
+//! independent of worker count and scheduling) to injected
 //! faults, so a test can make job 7 panic, job 11 blow its cycle budget,
 //! or the whole sweep abort at job 20 — reproducibly, with no wall-clock
 //! dependence.
@@ -147,6 +148,111 @@ impl fmt::Display for JobFailure {
     }
 }
 
+/// What an [`InjectionPlan`] injects: [`FaultKind`] (job failures inside
+/// the engine) or [`ChaosKind`] (infrastructure failures around it).
+pub trait PlanKind: Copy + Eq + fmt::Debug + 'static {
+    /// Every kind, in the order parse errors list their keywords.
+    const ALL: &'static [Self];
+    /// The noun parse errors name a clause by (`fault` / `chaos`).
+    const NOUN: &'static str;
+    /// The spec keyword (`panic`, `torn-line`, …).
+    fn label(self) -> &'static str;
+}
+
+/// A deterministic injection plan: global job index → injected kind.
+/// Construction and spec parsing never consult the clock or any ambient
+/// randomness, so a plan reproduces exactly across runs, worker counts
+/// and platforms. Used as [`FaultPlan`] and [`ChaosPlan`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct InjectionPlan<K> {
+    faults: BTreeMap<u64, K>,
+}
+
+impl<K> Default for InjectionPlan<K> {
+    fn default() -> Self {
+        InjectionPlan {
+            faults: BTreeMap::new(),
+        }
+    }
+}
+
+impl<K: PlanKind> InjectionPlan<K> {
+    /// An empty plan (injects nothing).
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds a fault at the given global job index (builder style).
+    #[must_use]
+    pub fn inject(mut self, index: u64, kind: K) -> Self {
+        self.faults.insert(index, kind);
+        self
+    }
+
+    /// Parses a spec like `"panic@3,diverge@7,budget@2,abort@10"` or
+    /// `"hang@3,torn-line@7,stall-client@2,corrupt-store@5"`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the offending clause on malformed input.
+    pub fn parse(spec: &str) -> Result<Self, String> {
+        let noun = K::NOUN;
+        let mut plan = Self::new();
+        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
+            let clause = clause.trim();
+            let (kind, index) = clause
+                .split_once('@')
+                .ok_or_else(|| format!("bad {noun} clause {clause:?} (want kind@index)"))?;
+            let Some(&kind) = K::ALL.iter().find(|k| k.label() == kind) else {
+                let keywords: Vec<&str> = K::ALL.iter().map(|k| k.label()).collect();
+                return Err(format!(
+                    "unknown {noun} kind {kind:?} (want {})",
+                    keywords.join("|")
+                ));
+            };
+            let index: u64 = index
+                .parse()
+                .map_err(|_| format!("bad {noun} index {index:?} in {clause:?}"))?;
+            plan.faults.insert(index, kind);
+        }
+        Ok(plan)
+    }
+
+    /// The canonical spec string (`parse` ∘ `to_spec` is the identity).
+    #[must_use]
+    pub fn to_spec(&self) -> String {
+        let clauses: Vec<String> = self
+            .iter()
+            .map(|(i, k)| format!("{}@{i}", k.label()))
+            .collect();
+        clauses.join(",")
+    }
+
+    /// The fault injected at a global job index, if any.
+    #[must_use]
+    pub fn fault_at(&self, index: u64) -> Option<K> {
+        self.faults.get(&index).copied()
+    }
+
+    /// Number of planned faults.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.faults.len()
+    }
+
+    /// Whether the plan injects nothing.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.faults.is_empty()
+    }
+
+    /// The planned `(index, kind)` pairs in index order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, K)> + '_ {
+        self.faults.iter().map(|(&i, &k)| (i, k))
+    }
+}
+
 /// A deterministic fault to inject into one job.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultKind {
@@ -165,10 +271,16 @@ pub enum FaultKind {
     Abort,
 }
 
-impl FaultKind {
-    /// The spec keyword (`panic` / `budget` / `diverge` / `abort`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
+impl PlanKind for FaultKind {
+    const ALL: &'static [FaultKind] = &[
+        FaultKind::Panic,
+        FaultKind::Budget,
+        FaultKind::Diverge,
+        FaultKind::Abort,
+    ];
+    const NOUN: &'static str = "fault";
+
+    fn label(self) -> &'static str {
         match self {
             FaultKind::Panic => "panic",
             FaultKind::Budget => "budget",
@@ -178,29 +290,11 @@ impl FaultKind {
     }
 }
 
-/// A deterministic fault-injection plan: global job submission index →
-/// fault. Seeded construction and spec parsing never consult the clock or
-/// any ambient randomness, so a plan reproduces exactly across runs,
-/// worker counts and platforms.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct FaultPlan {
-    faults: BTreeMap<u64, FaultKind>,
-}
+/// The engine's fault-injection plan: global job submission index →
+/// [`FaultKind`].
+pub type FaultPlan = InjectionPlan<FaultKind>;
 
 impl FaultPlan {
-    /// An empty plan (injects nothing).
-    #[must_use]
-    pub fn new() -> FaultPlan {
-        FaultPlan::default()
-    }
-
-    /// Adds a fault at the given global job index (builder style).
-    #[must_use]
-    pub fn inject(mut self, index: u64, kind: FaultKind) -> FaultPlan {
-        self.faults.insert(index, kind);
-        self
-    }
-
     /// `k` faults at pseudo-random indices in `0..njobs`, kinds cycling
     /// through panic/budget/diverge, from a splitmix64 stream seeded with
     /// `seed`. Deterministic for a given `(seed, k, njobs)`.
@@ -234,60 +328,6 @@ impl FaultPlan {
         }
         plan
     }
-
-    /// Parses a spec like `"panic@3,diverge@7,budget@2,abort@10"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending clause on malformed input.
-    pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::new();
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let clause = clause.trim();
-            let (kind, index) = clause
-                .split_once('@')
-                .ok_or_else(|| format!("bad fault clause {clause:?} (want kind@index)"))?;
-            let kind = match kind {
-                "panic" => FaultKind::Panic,
-                "budget" => FaultKind::Budget,
-                "diverge" => FaultKind::Diverge,
-                "abort" => FaultKind::Abort,
-                other => {
-                    return Err(format!(
-                        "unknown fault kind {other:?} (want panic|budget|diverge|abort)"
-                    ))
-                }
-            };
-            let index: u64 = index
-                .parse()
-                .map_err(|_| format!("bad fault index {index:?} in {clause:?}"))?;
-            plan.faults.insert(index, kind);
-        }
-        Ok(plan)
-    }
-
-    /// The fault injected at a global job index, if any.
-    #[must_use]
-    pub fn fault_at(&self, index: u64) -> Option<FaultKind> {
-        self.faults.get(&index).copied()
-    }
-
-    /// Number of planned faults.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan injects nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The planned `(index, kind)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, FaultKind)> + '_ {
-        self.faults.iter().map(|(&i, &k)| (i, k))
-    }
 }
 
 /// A deterministic serve-layer fault to inject at one global job index.
@@ -318,11 +358,16 @@ pub enum ChaosKind {
     CorruptStore,
 }
 
-impl ChaosKind {
-    /// The spec keyword (`hang` / `torn-line` / `stall-client` /
-    /// `corrupt-store`).
-    #[must_use]
-    pub fn label(self) -> &'static str {
+impl PlanKind for ChaosKind {
+    const ALL: &'static [ChaosKind] = &[
+        ChaosKind::Hang,
+        ChaosKind::TornLine,
+        ChaosKind::StallClient,
+        ChaosKind::CorruptStore,
+    ];
+    const NOUN: &'static str = "chaos";
+
+    fn label(self) -> &'static str {
         match self {
             ChaosKind::Hang => "hang",
             ChaosKind::TornLine => "torn-line",
@@ -330,7 +375,9 @@ impl ChaosKind {
             ChaosKind::CorruptStore => "corrupt-store",
         }
     }
+}
 
+impl ChaosKind {
     /// Whether this fault is injected inside the worker process (as
     /// opposed to [`ChaosKind::StallClient`], which only a client can
     /// enact).
@@ -341,71 +388,13 @@ impl ChaosKind {
 }
 
 /// [`FaultPlan`]'s serve-layer sibling: a deterministic map from global
-/// job indices (worker-local completion order) to injected infrastructure
-/// faults. Like `FaultPlan`, construction and parsing never consult the
-/// clock or ambient randomness, so a chaos run reproduces exactly — the
-/// *timing* of kills and respawns varies with the host, but the set of
-/// injected faults, and therefore the final reports and journals, do not.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct ChaosPlan {
-    faults: BTreeMap<u64, ChaosKind>,
-}
+/// job indices (worker-local completion order) to injected
+/// infrastructure faults. The *timing* of kills and respawns varies with
+/// the host, but the set of injected faults, and therefore the final
+/// reports and journals, do not.
+pub type ChaosPlan = InjectionPlan<ChaosKind>;
 
 impl ChaosPlan {
-    /// An empty plan (injects nothing).
-    #[must_use]
-    pub fn new() -> ChaosPlan {
-        ChaosPlan::default()
-    }
-
-    /// Adds a fault at the given job index (builder style).
-    #[must_use]
-    pub fn inject(mut self, index: u64, kind: ChaosKind) -> ChaosPlan {
-        self.faults.insert(index, kind);
-        self
-    }
-
-    /// Parses a spec like `"hang@3,torn-line@7,stall-client@2,corrupt-store@5"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending clause on malformed input.
-    pub fn parse(spec: &str) -> Result<ChaosPlan, String> {
-        let mut plan = ChaosPlan::new();
-        for clause in spec.split(',').filter(|c| !c.trim().is_empty()) {
-            let clause = clause.trim();
-            let (kind, index) = clause
-                .split_once('@')
-                .ok_or_else(|| format!("bad chaos clause {clause:?} (want kind@index)"))?;
-            let kind = match kind {
-                "hang" => ChaosKind::Hang,
-                "torn-line" => ChaosKind::TornLine,
-                "stall-client" => ChaosKind::StallClient,
-                "corrupt-store" => ChaosKind::CorruptStore,
-                other => {
-                    return Err(format!(
-                        "unknown chaos kind {other:?} (want hang|torn-line|stall-client|corrupt-store)"
-                    ))
-                }
-            };
-            let index: u64 = index
-                .parse()
-                .map_err(|_| format!("bad chaos index {index:?} in {clause:?}"))?;
-            plan.faults.insert(index, kind);
-        }
-        Ok(plan)
-    }
-
-    /// The canonical spec string (`parse` ∘ `to_spec` is the identity).
-    #[must_use]
-    pub fn to_spec(&self) -> String {
-        let clauses: Vec<String> = self
-            .iter()
-            .map(|(i, k)| format!("{}@{i}", k.label()))
-            .collect();
-        clauses.join(",")
-    }
-
     /// Only the worker-side clauses (everything but `stall-client`), as a
     /// spec string — what the server propagates into a worker spec.
     #[must_use]
@@ -426,29 +415,6 @@ impl ChaosPlan {
             .find(|(_, k)| *k == ChaosKind::StallClient)
             .map(|(i, _)| i)
     }
-
-    /// The fault injected at a job index, if any.
-    #[must_use]
-    pub fn fault_at(&self, index: u64) -> Option<ChaosKind> {
-        self.faults.get(&index).copied()
-    }
-
-    /// Number of planned faults.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// Whether the plan injects nothing.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-
-    /// The planned `(index, kind)` pairs in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, ChaosKind)> + '_ {
-        self.faults.iter().map(|(&i, &k)| (i, k))
-    }
 }
 
 #[cfg(test)]
@@ -464,9 +430,18 @@ mod tests {
         assert_eq!(plan.fault_at(10), Some(FaultKind::Abort));
         assert_eq!(plan.fault_at(4), None);
         assert_eq!(plan.len(), 4);
-        assert!(FaultPlan::parse("explode@1").is_err());
-        assert!(FaultPlan::parse("panic@x").is_err());
-        assert!(FaultPlan::parse("panic").is_err());
+        assert_eq!(
+            FaultPlan::parse("explode@1").unwrap_err(),
+            r#"unknown fault kind "explode" (want panic|budget|diverge|abort)"#
+        );
+        assert_eq!(
+            FaultPlan::parse("panic@x").unwrap_err(),
+            r#"bad fault index "x" in "panic@x""#
+        );
+        assert_eq!(
+            FaultPlan::parse("panic").unwrap_err(),
+            r#"bad fault clause "panic" (want kind@index)"#
+        );
         assert!(FaultPlan::parse("").unwrap().is_empty());
     }
 
@@ -507,9 +482,18 @@ mod tests {
         // The worker spec drops the client-side clause; stall_after keeps it.
         assert_eq!(plan.worker_spec(), "hang@3,corrupt-store@5,torn-line@7");
         assert_eq!(plan.stall_after(), Some(2));
-        assert!(ChaosPlan::parse("explode@1").is_err());
-        assert!(ChaosPlan::parse("hang@x").is_err());
-        assert!(ChaosPlan::parse("hang").is_err());
+        assert_eq!(
+            ChaosPlan::parse("explode@1").unwrap_err(),
+            r#"unknown chaos kind "explode" (want hang|torn-line|stall-client|corrupt-store)"#
+        );
+        assert_eq!(
+            ChaosPlan::parse("hang@x").unwrap_err(),
+            r#"bad chaos index "x" in "hang@x""#
+        );
+        assert_eq!(
+            ChaosPlan::parse("hang").unwrap_err(),
+            r#"bad chaos clause "hang" (want kind@index)"#
+        );
         assert!(ChaosPlan::parse("").unwrap().is_empty());
         assert_eq!(ChaosPlan::new().stall_after(), None);
     }

@@ -13,7 +13,7 @@
 use crate::error::JobError;
 use wishbranch_compiler::{compile, BinaryVariant, CompileOptions, CompiledBinary};
 use wishbranch_ir::{Interpreter, Profile};
-use wishbranch_isa::exec::{merge_by_address, Machine, MemImage};
+use wishbranch_isa::exec::{Machine, MemImage};
 use wishbranch_isa::{Program, RetireRecord};
 use wishbranch_uarch::{MachineConfig, SimError, SimResult, SimScratch, Simulator};
 use wishbranch_workloads::{Benchmark, InputSet};
@@ -225,8 +225,8 @@ pub fn simulate_on_image(
 }
 
 /// Replays a retired-instruction stream through the lockstep reference
-/// oracle ([`wishbranch_isa::LockstepOracle`]), preloaded with the job's
-/// input `image`: the committed PC chain, guard values, every
+/// oracle ([`wishbranch_isa::LockstepOracle`]), which reads the job's
+/// input `image` in place: the committed PC chain, guard values, every
 /// register/predicate/memory write, and the legality of forced
 /// (non-architectural) wish/DHP directions are checked µop by µop, then
 /// the oracle's final state is anchored against the simulator's retired
@@ -245,10 +245,7 @@ pub fn lockstep_check(
     result: &SimResult,
     records: &[RetireRecord],
 ) -> Result<(), JobError> {
-    let mut oracle = wishbranch_isa::LockstepOracle::new(program);
-    for &(a, v) in image.words() {
-        oracle.preload_mem(a, v);
-    }
+    let mut oracle = wishbranch_isa::LockstepOracle::new(program, image);
     for record in records {
         oracle.step(record).map_err(|d| JobError::VerifyDivergence {
             detail: format!("{label}: lockstep {d}"),
@@ -307,12 +304,9 @@ pub fn verify_against_image(
     let expect = Machine::new()
         .run_on(program, image, DEFAULT_STEP_BUDGET)
         .map_err(|e| JobError::SimFault(format!("{label}: reference run failed: {e}")))?;
-    let retired = result.final_mem.iter().map(|(&a, &v)| (a, v));
-    // The walk visits addresses in ascending order, so this is the lowest
-    // differing address, which keeps the failure table actionable.
-    let first = merge_by_address(retired, image.overlay(&expect.mem))
-        .find(|&(_, got, want)| got != want);
-    match first {
+    // The lowest differing address, which keeps the failure table
+    // actionable.
+    match image.first_difference(&result.final_mem, &expect.mem) {
         None => Ok(()),
         Some((addr, got, want)) => Err(JobError::VerifyDivergence {
             detail: format!("{label}: addr {addr:#x}: simulator {got:?}, reference {want:?}"),

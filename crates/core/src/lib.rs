@@ -62,7 +62,9 @@ pub use engine::{
     default_workers, JobObserver, JobPhases, JobResult, SweepJob, SweepRunner, SweepSummary,
     TrainSpec, WORKERS_ENV,
 };
-pub use error::{ChaosKind, ChaosPlan, FaultKind, FaultPlan, JobError, JobFailure};
+pub use error::{
+    ChaosKind, ChaosPlan, FaultKind, FaultPlan, InjectionPlan, JobError, JobFailure, PlanKind,
+};
 pub use journal::JournalError;
 pub use experiment::{
     compile_adaptive_variant, compile_variant, profile_on, run_binary, simulate, trace_binary,

@@ -352,11 +352,7 @@ impl SweepRequest {
             out.push_str(&format!(",\"batch\":{width}"));
         }
         if let Some(plan) = &self.fault_plan {
-            let spec: Vec<String> = plan
-                .iter()
-                .map(|(i, k)| format!("{}@{i}", k.label()))
-                .collect();
-            out.push_str(&format!(",\"fault_plan\":\"{}\"", spec.join(",")));
+            out.push_str(&format!(",\"fault_plan\":\"{}\"", plan.to_spec()));
         }
         if let Some(train) = self.train {
             let letter = match train {

@@ -16,8 +16,15 @@
 //! architecturally: a µop whose qualifying predicate reads FALSE changes no
 //! architectural state (registers keep their old values, stores are
 //! suppressed, branches fall through).
+//!
+//! `Machine`'s one step (`execute`, one TRUE-guard µop and its writes) is
+//! the crate's only definition of µop semantics: [`Machine::run_on`] loops
+//! over it, and the lockstep oracle ([`crate::LockstepOracle`]) runs a
+//! `Machine` and compares each retired µop's writes against that step.
+//! [`MemImage::first_difference`] is the final-memory compare both
+//! checks share.
 
-use crate::insn::{BranchKind, InsnKind};
+use crate::insn::{BranchKind, Insn, InsnKind};
 use crate::program::Program;
 use crate::regs::{Gpr, PredReg, NUM_GPRS, NUM_PREDS};
 use std::cmp::Ordering;
@@ -83,6 +90,20 @@ impl MemImage {
             writes.iter().map(|(&a, &v)| (a, v)),
         )
         .map(|(addr, image, written)| (addr, written.or(image).unwrap_or_default()))
+    }
+
+    /// The lowest address where `retired` (a full final memory) differs
+    /// from the image overlaid by `written` (a reference run's own words),
+    /// as `(addr, retired value, expected value)`; `None` when they agree
+    /// word for word. One ordered walk, no copy of the image.
+    #[must_use]
+    pub fn first_difference(
+        &self,
+        retired: &BTreeMap<u64, i64>,
+        written: &BTreeMap<u64, i64>,
+    ) -> Option<(u64, Option<i64>, Option<i64>)> {
+        merge_by_address(retired.iter().map(|(&a, &v)| (a, v)), self.overlay(written))
+            .find(|&(_, got, want)| got != want)
     }
 }
 
@@ -203,11 +224,108 @@ impl Machine {
         }
     }
 
+    /// Whether `insn`'s qualifying predicate reads TRUE (unguarded µops
+    /// always execute).
     #[inline]
-    fn set_pred(&mut self, p: PredReg, v: bool) {
-        if !p.is_hardwired_true() {
-            self.preds[p.index()] = v;
+    pub(crate) fn guard_true(&self, insn: &Insn) -> bool {
+        insn.guard.is_none_or(|g| self.preds[g.index()])
+    }
+
+    /// Executes `insn` at `pc` with a TRUE guard and applies its writes:
+    /// the one definition of µop semantics. A load reads the machine's own
+    /// words first and `image` second; a store writes the machine's words
+    /// only. `p0` writes are reported but not applied.
+    #[inline]
+    pub(crate) fn execute(&mut self, pc: u32, insn: &Insn, image: &MemImage) -> Effects {
+        let mut fx = Effects {
+            next_pc: pc + 1,
+            ..Effects::default()
+        };
+        let pred = |dst: PredReg, v: bool| Some((dst.index() as u8, v));
+        match insn.kind {
+            InsnKind::Alu {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
+                fx.reg_write = Some((
+                    dst.index() as u8,
+                    op.apply(self.reg(src1), self.operand(src2)),
+                ))
+            }
+            InsnKind::MovImm { dst, imm } => fx.reg_write = Some((dst.index() as u8, imm)),
+            InsnKind::Cmp {
+                op,
+                dst,
+                src1,
+                src2,
+            } => fx.pred_writes[0] = pred(dst, op.apply(self.reg(src1), self.operand(src2))),
+            InsnKind::Cmp2 {
+                op,
+                dst_t,
+                dst_f,
+                src1,
+                src2,
+            } => {
+                let v = op.apply(self.reg(src1), self.operand(src2));
+                fx.pred_writes = [pred(dst_t, v), pred(dst_f, !v)];
+            }
+            InsnKind::PredRR {
+                op,
+                dst,
+                src1,
+                src2,
+            } => {
+                let v = op.apply(self.preds[src1.index()], self.preds[src2.index()]);
+                fx.pred_writes[0] = pred(dst, v);
+            }
+            InsnKind::PredNot { dst, src } => {
+                fx.pred_writes[0] = pred(dst, !self.preds[src.index()])
+            }
+            InsnKind::PredSet { dst, value } => fx.pred_writes[0] = pred(dst, value),
+            InsnKind::Load { dst, base, offset } => {
+                let addr = self.reg(base).wrapping_add(i64::from(offset)) as u64;
+                let v = match self.mem.get(&addr) {
+                    Some(&v) => v,
+                    None => image.get(addr).unwrap_or(0),
+                };
+                fx.reg_write = Some((dst.index() as u8, v));
+            }
+            InsnKind::Store { src, base, offset } => {
+                let addr = self.reg(base).wrapping_add(i64::from(offset)) as u64;
+                fx.mem_write = Some((addr, self.reg(src)));
+            }
+            InsnKind::Branch { kind, target } => match kind {
+                BranchKind::Cond { pred, sense } => {
+                    fx.taken = self.preds[pred.index()] == sense;
+                    if fx.taken {
+                        fx.next_pc = target;
+                    }
+                }
+                BranchKind::Uncond => fx.next_pc = target,
+                BranchKind::Call => {
+                    fx.reg_write = Some((Gpr::LINK.index() as u8, i64::from(pc + 1)));
+                    fx.next_pc = target;
+                }
+                BranchKind::Ret => fx.next_pc = self.reg(Gpr::LINK) as u32,
+                BranchKind::Indirect { target: reg } => fx.next_pc = self.reg(reg) as u32,
+            },
+            InsnKind::Halt => fx.halted = true,
+            InsnKind::Nop => {}
         }
+        if let Some((r, v)) = fx.reg_write {
+            self.regs[usize::from(r)] = v;
+        }
+        for (p, v) in fx.pred_writes.into_iter().flatten() {
+            if p != 0 {
+                self.preds[usize::from(p)] = v;
+            }
+        }
+        if let Some((addr, v)) = fx.mem_write {
+            self.mem.insert(addr, v);
+        }
+        fx
     }
 
     /// Runs `program` from its entry to `halt`.
@@ -246,100 +364,39 @@ impl Machine {
             if steps > max_steps {
                 return Err(ExecError::StepLimitExceeded { limit: max_steps });
             }
-            let guard_ok = insn.guard.is_none_or(|g| self.preds[g.index()]);
-            if !guard_ok {
+            if !self.guard_true(insn) {
                 guard_false_steps += 1;
                 pc += 1;
                 continue;
             }
-            let mut next = pc + 1;
-            match insn.kind {
-                InsnKind::Alu {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                } => {
-                    self.regs[dst.index()] = op.apply(self.reg(src1), self.operand(src2));
-                }
-                InsnKind::MovImm { dst, imm } => self.regs[dst.index()] = imm,
-                InsnKind::Cmp {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                } => {
-                    let v = op.apply(self.reg(src1), self.operand(src2));
-                    self.set_pred(dst, v);
-                }
-                InsnKind::Cmp2 {
-                    op,
-                    dst_t,
-                    dst_f,
-                    src1,
-                    src2,
-                } => {
-                    let v = op.apply(self.reg(src1), self.operand(src2));
-                    self.set_pred(dst_t, v);
-                    self.set_pred(dst_f, !v);
-                }
-                InsnKind::PredRR {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                } => {
-                    let v = op.apply(self.preds[src1.index()], self.preds[src2.index()]);
-                    self.set_pred(dst, v);
-                }
-                InsnKind::PredNot { dst, src } => {
-                    let v = !self.preds[src.index()];
-                    self.set_pred(dst, v);
-                }
-                InsnKind::PredSet { dst, value } => self.set_pred(dst, value),
-                InsnKind::Load { dst, base, offset } => {
-                    let addr = self.reg(base).wrapping_add(i64::from(offset)) as u64;
-                    self.regs[dst.index()] = match self.mem.get(&addr) {
-                        Some(&v) => v,
-                        None => image.get(addr).unwrap_or(0),
-                    };
-                }
-                InsnKind::Store { src, base, offset } => {
-                    let addr = self.reg(base).wrapping_add(i64::from(offset)) as u64;
-                    self.mem.insert(addr, self.reg(src));
-                }
-                InsnKind::Branch { kind, target } => match kind {
-                    BranchKind::Cond { pred, sense } => {
-                        if self.preds[pred.index()] == sense {
-                            next = target;
-                        }
-                    }
-                    BranchKind::Uncond => next = target,
-                    BranchKind::Call => {
-                        self.regs[Gpr::LINK.index()] = i64::from(pc + 1);
-                        next = target;
-                    }
-                    BranchKind::Ret => {
-                        next = self.reg(Gpr::LINK) as u32;
-                    }
-                    BranchKind::Indirect { target: reg } => {
-                        next = self.reg(reg) as u32;
-                    }
-                },
-                InsnKind::Halt => {
-                    return Ok(ExecResult {
-                        steps,
-                        guard_false_steps,
-                        regs: self.regs,
-                        preds: self.preds,
-                        mem: self.mem.iter().map(|(&k, &v)| (k, v)).collect(),
-                    });
-                }
-                InsnKind::Nop => {}
+            let fx = self.execute(pc, insn, image);
+            if fx.halted {
+                return Ok(ExecResult {
+                    steps,
+                    guard_false_steps,
+                    regs: self.regs,
+                    preds: self.preds,
+                    mem: self.mem.iter().map(|(&k, &v)| (k, v)).collect(),
+                });
             }
-            pc = next;
+            pc = fx.next_pc;
         }
     }
+}
+
+/// The architectural effects of one executed µop ([`Machine::execute`]):
+/// the next PC, a conditional branch's direction, and the writes, whose
+/// fields have exactly the shape of [`crate::RetireRecord`]'s so the
+/// lockstep oracle compares them field by field. The default (plus a
+/// fall-through `next_pc`) is a guard-FALSE µop: an architectural NOP.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct Effects {
+    pub next_pc: u32,
+    pub taken: bool,
+    pub reg_write: Option<(u8, i64)>,
+    pub pred_writes: [Option<(u8, bool)>; 2],
+    pub mem_write: Option<(u64, i64)>,
+    pub halted: bool,
 }
 
 #[cfg(test)]

@@ -12,8 +12,13 @@
 //! writes, branch direction, and whether the retirement was *forced* —
 //! i.e. the pipeline deliberately followed a non-architectural direction
 //! under wish-branch or dynamic-hammock predication), and the oracle
-//! executes the same µop in commit order on its own architectural state,
-//! reporting the **first** divergent retirement with full context.
+//! executes the same µop in commit order on a [`Machine`], through the
+//! machine's one µop step, reporting the **first** divergent retirement
+//! with full context. The oracle defines no semantics of its own: it adds
+//! the checks below around `Machine`'s step and compares the record's
+//! writes against the step's field by field. Its memory is the job's
+//! shared input [`MemImage`], read in place; the machine holds only the
+//! words the stream writes.
 //!
 //! What lockstep checking validates that a final-state fingerprint cannot:
 //!
@@ -33,14 +38,17 @@
 //! path are architectural NOPs. The oracle therefore follows the pipeline's
 //! committed path — checking that predication actually covers it — and
 //! [`LockstepOracle::finish`] anchors the whole stream by comparing the
-//! oracle's final state against the simulator's retired state.
+//! oracle's final state against the simulator's retired state, memory
+//! through [`MemImage::first_difference`], the compare the final-state
+//! check against `Machine::run_on` uses too.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::exec::{Effects, Machine, MemImage};
 use crate::insn::{BranchKind, Insn, InsnKind, WishType};
 use crate::program::Program;
-use crate::regs::{Gpr, NUM_GPRS, NUM_PREDS};
+use crate::regs::{NUM_GPRS, NUM_PREDS};
 
 /// One retired µop, as reported by the cycle simulator's retire stage.
 ///
@@ -109,16 +117,18 @@ impl fmt::Display for Divergence {
     }
 }
 
-/// The lockstep in-order reference executor. Feed it every
-/// [`RetireRecord`] of a run via [`step`](LockstepOracle::step), then call
+/// The lockstep in-order reference executor: a [`Machine`] on the job's
+/// input image plus the checks. Feed it every [`RetireRecord`] of a run
+/// via [`step`](LockstepOracle::step), then call
 /// [`finish`](LockstepOracle::finish) with the simulator's final
 /// architectural state.
 #[derive(Clone, Debug)]
 pub struct LockstepOracle<'a> {
     program: &'a Program,
-    regs: [i64; NUM_GPRS],
-    preds: [bool; NUM_PREDS],
-    mem: BTreeMap<u64, i64>,
+    /// The job's input, read in place; the machine holds only the words
+    /// the stream wrote.
+    image: &'a MemImage,
+    machine: Machine,
     /// PC the next record must retire at (`None` before the first record).
     expected_pc: Option<u32>,
     /// The previous record carried a hardware DHP guard: the fetch
@@ -130,40 +140,20 @@ pub struct LockstepOracle<'a> {
 }
 
 impl<'a> LockstepOracle<'a> {
-    /// A fresh oracle over `program` with zeroed architectural state
-    /// (`p0` hardwired TRUE, like every machine in the stack).
+    /// A fresh oracle over `program` with zeroed registers (`p0`
+    /// hardwired TRUE, like every machine in the stack) and `image` as
+    /// its input memory.
     #[must_use]
-    pub fn new(program: &'a Program) -> LockstepOracle<'a> {
-        let mut preds = [false; NUM_PREDS];
-        preds[0] = true;
+    pub fn new(program: &'a Program, image: &'a MemImage) -> LockstepOracle<'a> {
         LockstepOracle {
             program,
-            regs: [0; NUM_GPRS],
-            preds,
-            mem: BTreeMap::new(),
+            image,
+            machine: Machine::new(),
             expected_pc: None,
             prev_hw_guard: false,
             halted: false,
             index: 0,
         }
-    }
-
-    /// Preloads one memory word (benchmark input), like
-    /// `Simulator::preload_mem`.
-    pub fn preload_mem(&mut self, addr: u64, value: i64) {
-        self.mem.insert(addr, value);
-    }
-
-    /// Number of records successfully replayed so far.
-    #[must_use]
-    pub fn retired(&self) -> usize {
-        self.index
-    }
-
-    /// Whether a halt has retired.
-    #[must_use]
-    pub fn halted(&self) -> bool {
-        self.halted
     }
 
     fn diverge(&self, rec: &RetireRecord, detail: String) -> Divergence {
@@ -180,57 +170,22 @@ impl<'a> LockstepOracle<'a> {
         }
     }
 
-    fn operand(&self, op: crate::insn::Operand) -> i64 {
-        match op {
-            crate::insn::Operand::Reg(r) => self.regs[r.index()],
-            crate::insn::Operand::Imm(i) => i64::from(i),
-        }
-    }
-
-    /// Checks a reported register write against the oracle's expectation
-    /// and applies it.
-    fn check_reg(
-        &mut self,
+    /// Checks one reported field against the reference step's value.
+    fn expect<T: PartialEq + fmt::Debug>(
+        &self,
         rec: &RetireRecord,
-        dst: Gpr,
-        value: i64,
+        what: &str,
+        want: T,
+        got: T,
     ) -> Result<(), Divergence> {
-        let want = (dst.index() as u8, value);
-        if rec.reg_write != Some(want) {
-            return Err(self.diverge(
-                rec,
-                format!(
-                    "register write: oracle expects r{}={}, simulator retired {:?}",
-                    want.0, want.1, rec.reg_write
-                ),
-            ));
+        if want == got {
+            return Ok(());
         }
-        self.regs[dst.index()] = value;
-        Ok(())
-    }
-
-    /// Checks one reported predicate write slot and applies it.
-    fn check_pred(
-        &mut self,
-        rec: &RetireRecord,
-        slot: usize,
-        dst: crate::regs::PredReg,
-        value: bool,
-    ) -> Result<(), Divergence> {
-        let want = (dst.index() as u8, value);
-        if rec.pred_writes[slot] != Some(want) {
-            return Err(self.diverge(
-                rec,
-                format!(
-                    "predicate write: oracle expects p{}={}, simulator retired {:?}",
-                    want.0, want.1, rec.pred_writes[slot]
-                ),
-            ));
-        }
-        if !dst.is_hardwired_true() {
-            self.preds[dst.index()] = value;
-        }
-        Ok(())
+        let nop = if rec.guard_true { "" } else { " (guard FALSE)" };
+        Err(self.diverge(
+            rec,
+            format!("{what}: oracle expects {want:?}{nop}, simulator retired {got:?}"),
+        ))
     }
 
     /// Replays one retired record. On the first inconsistency, returns a
@@ -258,16 +213,16 @@ impl<'a> LockstepOracle<'a> {
                 ));
             }
         }
-        let Some(insn) = self.program.get(rec.pc) else {
+        let program = self.program;
+        let Some(insn) = program.get(rec.pc) else {
             return Err(self.diverge(rec, "retired µop outside the program".to_string()));
         };
-        let insn = *insn;
 
         // Guard value. With a hardware-injected guard the effective value
         // also depends on the captured (renamed) branch condition, which
         // only the pipeline holds — the oracle checks what is derivable:
         // a TRUE effective guard requires a TRUE architectural guard.
-        let arch_guard = insn.guard.is_none_or(|g| self.preds[g.index()]);
+        let arch_guard = self.machine.guard_true(insn);
         if rec.hw_guard {
             if rec.guard_true && !arch_guard {
                 return Err(self.diverge(
@@ -286,40 +241,35 @@ impl<'a> LockstepOracle<'a> {
             ));
         }
 
-        // The architecturally correct next PC, from the oracle's state.
-        let fall = rec.pc + 1;
-        let arch_next = if !rec.guard_true {
-            fall // a guard-false µop, branch or not, is an architectural NOP
+        // Execute on the reference machine; a guard-false µop, branch or
+        // not, is an architectural NOP.
+        let fx = if rec.guard_true {
+            self.machine.execute(rec.pc, insn, self.image)
         } else {
-            match insn.kind {
-                InsnKind::Branch { kind, target } => match kind {
-                    BranchKind::Cond { pred, sense } => {
-                        let taken = self.preds[pred.index()] == sense;
-                        if rec.taken != taken {
-                            return Err(self.diverge(
-                                rec,
-                                format!(
-                                    "branch direction: oracle says taken={taken}, \
-                                     simulator retired taken={}",
-                                    rec.taken
-                                ),
-                            ));
-                        }
-                        if taken {
-                            target
-                        } else {
-                            fall
-                        }
-                    }
-                    BranchKind::Uncond | BranchKind::Call => target,
-                    BranchKind::Ret => self.regs[Gpr::LINK.index()] as u32,
-                    BranchKind::Indirect { target: reg } => self.regs[reg.index()] as u32,
-                },
-                _ => fall,
+            Effects {
+                next_pc: rec.pc + 1,
+                ..Effects::default()
             }
         };
+        let conditional = matches!(
+            insn.kind,
+            InsnKind::Branch {
+                kind: BranchKind::Cond { .. },
+                ..
+            }
+        );
+        if rec.guard_true && conditional && rec.taken != fx.taken {
+            return Err(self.diverge(
+                rec,
+                format!(
+                    "branch direction: oracle says taken={}, simulator retired taken={}",
+                    fx.taken, rec.taken
+                ),
+            ));
+        }
 
         // Forced (non-architectural) directions need predication cover.
+        let arch_next = fx.next_pc;
         if rec.next_pc != arch_next {
             let covered = insn.wish.is_some() || rec.dhp || rec.hw_guard;
             if !covered {
@@ -349,104 +299,13 @@ impl<'a> LockstepOracle<'a> {
             ));
         }
 
-        // Execute (guard TRUE) and compare every architectural write.
-        if rec.guard_true {
-            match insn.kind {
-                InsnKind::Alu {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                } => {
-                    let v = op.apply(self.regs[src1.index()], self.operand(src2));
-                    self.check_reg(rec, dst, v)?;
-                }
-                InsnKind::MovImm { dst, imm } => self.check_reg(rec, dst, imm)?,
-                InsnKind::Cmp {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                } => {
-                    let v = op.apply(self.regs[src1.index()], self.operand(src2));
-                    self.check_pred(rec, 0, dst, v)?;
-                }
-                InsnKind::Cmp2 {
-                    op,
-                    dst_t,
-                    dst_f,
-                    src1,
-                    src2,
-                } => {
-                    let v = op.apply(self.regs[src1.index()], self.operand(src2));
-                    self.check_pred(rec, 0, dst_t, v)?;
-                    self.check_pred(rec, 1, dst_f, !v)?;
-                }
-                InsnKind::PredRR {
-                    op,
-                    dst,
-                    src1,
-                    src2,
-                } => {
-                    let v = op.apply(self.preds[src1.index()], self.preds[src2.index()]);
-                    self.check_pred(rec, 0, dst, v)?;
-                }
-                InsnKind::PredNot { dst, src } => {
-                    let v = !self.preds[src.index()];
-                    self.check_pred(rec, 0, dst, v)?;
-                }
-                InsnKind::PredSet { dst, value } => self.check_pred(rec, 0, dst, value)?,
-                InsnKind::Load { dst, base, offset } => {
-                    let addr = self.regs[base.index()].wrapping_add(i64::from(offset)) as u64;
-                    let v = self.mem.get(&addr).copied().unwrap_or(0);
-                    self.check_reg(rec, dst, v)?;
-                }
-                InsnKind::Store { src, base, offset } => {
-                    let addr = self.regs[base.index()].wrapping_add(i64::from(offset)) as u64;
-                    let v = self.regs[src.index()];
-                    if rec.mem_write != Some((addr, v)) {
-                        return Err(self.diverge(
-                            rec,
-                            format!(
-                                "store: oracle expects mem[{addr:#x}]={v}, simulator \
-                                 retired {:?}",
-                                rec.mem_write
-                            ),
-                        ));
-                    }
-                    self.mem.insert(addr, v);
-                }
-                InsnKind::Branch { kind, .. } => {
-                    if let BranchKind::Call = kind {
-                        self.check_reg(rec, Gpr::LINK, i64::from(fall))?;
-                    }
-                }
-                InsnKind::Halt => {
-                    if !rec.halted {
-                        return Err(
-                            self.diverge(rec, "halt retired without the halt flag".to_string())
-                        );
-                    }
-                    self.halted = true;
-                }
-                InsnKind::Nop => {}
-            }
-        } else if rec.reg_write.is_some()
-            || rec.mem_write.is_some()
-            || rec.pred_writes.iter().any(Option::is_some)
-        {
-            return Err(self.diverge(
-                rec,
-                format!(
-                    "guard-false µop retired architectural writes: reg {:?}, preds {:?}, mem {:?}",
-                    rec.reg_write, rec.pred_writes, rec.mem_write
-                ),
-            ));
-        }
-        if rec.halted && !self.halted {
-            return Err(self.diverge(rec, "halt flag on a non-halt µop".to_string()));
-        }
+        // Every architectural write, value by value, and the halt flag.
+        self.expect(rec, "register write", fx.reg_write, rec.reg_write)?;
+        self.expect(rec, "predicate write", fx.pred_writes, rec.pred_writes)?;
+        self.expect(rec, "memory write", fx.mem_write, rec.mem_write)?;
+        self.expect(rec, "halt flag", fx.halted, rec.halted)?;
 
+        self.halted = fx.halted;
         self.expected_pc = Some(rec.next_pc);
         self.prev_hw_guard = rec.hw_guard;
         self.index += 1;
@@ -455,7 +314,8 @@ impl<'a> LockstepOracle<'a> {
 
     /// Final-state anchor: the stream must have halted, and the oracle's
     /// architectural state must match the simulator's retired state
-    /// exactly (registers, predicates, and the memory image).
+    /// exactly (registers, predicates, and every memory word — the input
+    /// image overlaid by the stream's writes).
     ///
     /// # Errors
     ///
@@ -477,40 +337,27 @@ impl<'a> LockstepOracle<'a> {
         if !self.halted {
             return Err(end("retired stream ended without a halt".to_string()));
         }
-        for (i, (&got, &want)) in final_regs.iter().zip(self.regs.iter()).enumerate() {
+        for (i, (&got, &want)) in final_regs.iter().zip(&self.machine.regs).enumerate() {
             if got != want {
                 return Err(end(format!(
                     "final state: r{i} simulator {got}, oracle {want}"
                 )));
             }
         }
-        for (i, (&got, &want)) in final_preds.iter().zip(self.preds.iter()).enumerate() {
+        for (i, (&got, &want)) in final_preds.iter().zip(&self.machine.preds).enumerate() {
             if got != want {
                 return Err(end(format!(
                     "final state: p{i} simulator {got}, oracle {want}"
                 )));
             }
         }
-        if *final_mem != self.mem {
-            let diff = final_mem
-                .iter()
-                .map(|(&a, &v)| (a, Some(v), self.mem.get(&a).copied()))
-                .chain(
-                    self.mem
-                        .iter()
-                        .filter(|(a, _)| !final_mem.contains_key(a))
-                        .map(|(&a, &v)| (a, None, Some(v))),
-                )
-                .find(|&(_, got, want)| got != want);
-            let detail = diff.map_or_else(
-                || "final state: memory images differ".to_string(),
-                |(a, got, want)| {
-                    format!("final state: mem[{a:#x}] simulator {got:?}, oracle {want:?}")
-                },
-            );
-            return Err(end(detail));
+        let written: BTreeMap<u64, i64> = self.machine.mem.iter().map(|(&a, &v)| (a, v)).collect();
+        match self.image.first_difference(final_mem, &written) {
+            None => Ok(()),
+            Some((a, got, want)) => Err(end(format!(
+                "final state: mem[{a:#x}] simulator {got:?}, oracle {want:?}"
+            ))),
         }
-        Ok(())
     }
 }
 
@@ -519,7 +366,7 @@ mod tests {
     use super::*;
     use crate::insn::{AluOp, CmpOp, Operand};
     use crate::program::ProgramBuilder;
-    use crate::regs::PredReg;
+    use crate::regs::{Gpr, PredReg};
 
     fn r(i: u8) -> Gpr {
         Gpr::new(i)
@@ -571,7 +418,8 @@ mod tests {
     #[test]
     fn faithful_stream_replays_clean() {
         let prog = sample_program();
-        let mut oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let mut oracle = LockstepOracle::new(&prog, &empty);
         for record in sample_stream() {
             oracle.step(&record).expect("faithful record");
         }
@@ -588,7 +436,8 @@ mod tests {
     #[test]
     fn wrong_register_value_is_caught_at_the_retirement() {
         let prog = sample_program();
-        let mut oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let mut oracle = LockstepOracle::new(&prog, &empty);
         let mut stream = sample_stream();
         stream[2].reg_write = Some((2, 7)); // should be 6
         oracle.step(&stream[0]).unwrap();
@@ -602,7 +451,8 @@ mod tests {
     #[test]
     fn broken_pc_chain_is_caught() {
         let prog = sample_program();
-        let mut oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let mut oracle = LockstepOracle::new(&prog, &empty);
         let stream = sample_stream();
         oracle.step(&stream[0]).unwrap();
         let d = oracle.step(&stream[2]).unwrap_err(); // skips pc 1
@@ -612,7 +462,8 @@ mod tests {
     #[test]
     fn wrong_guard_value_is_caught() {
         let prog = sample_program();
-        let mut oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let mut oracle = LockstepOracle::new(&prog, &empty);
         let mut stream = sample_stream();
         stream[2].guard_true = false; // p1 is architecturally TRUE here
         stream[2].reg_write = None;
@@ -630,7 +481,8 @@ mod tests {
         b.push(Insn::halt());
         b.push(Insn::halt());
         let prog = b.build();
-        let mut oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let mut oracle = LockstepOracle::new(&prog, &empty);
         let mut c = rec(1, 0);
         c.pred_writes[0] = Some((1, true));
         oracle.step(&c).unwrap();
@@ -652,7 +504,8 @@ mod tests {
         b.push(Insn::halt());
         b.push(Insn::halt());
         let prog = b.build();
-        let mut oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let mut oracle = LockstepOracle::new(&prog, &empty);
         let mut c = rec(1, 0);
         c.pred_writes = [Some((1, true)), Some((2, false))];
         oracle.step(&c).unwrap();
@@ -668,13 +521,21 @@ mod tests {
         let mut h = rec(4, 3);
         h.halted = true;
         oracle.step(&h).unwrap();
-        assert!(oracle.halted());
+        // r3's guarded write never happened: the final state is all zero
+        // registers beside the compare's two predicates.
+        let mut preds = [false; NUM_PREDS];
+        preds[0] = true;
+        preds[1] = true;
+        oracle
+            .finish(&[0; NUM_GPRS], &preds, &BTreeMap::new())
+            .expect("forced stream anchors");
     }
 
     #[test]
     fn guard_false_write_is_caught() {
         let prog = sample_program();
-        let mut oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let mut oracle = LockstepOracle::new(&prog, &empty);
         let mut bad = rec(1, 0);
         bad.guard_true = true;
         bad.reg_write = Some((1, 5));
@@ -692,11 +553,52 @@ mod tests {
     #[test]
     fn missing_halt_fails_finish() {
         let prog = sample_program();
-        let oracle = LockstepOracle::new(&prog);
+        let empty = MemImage::default();
+        let oracle = LockstepOracle::new(&prog, &empty);
         let regs = [0i64; NUM_GPRS];
         let mut preds = [false; NUM_PREDS];
         preds[0] = true;
         let d = oracle.finish(&regs, &preds, &BTreeMap::new()).unwrap_err();
         assert!(d.detail.contains("halt"), "{d}");
+    }
+
+    #[test]
+    fn image_words_are_read_in_place_and_anchor_final_memory() {
+        // movi r1,16 ; ld r2 = [r1+0] ; st r2 -> [r1+8] ; halt — on an
+        // image holding 0x10, 0x18 and 0x20.
+        let mut b = ProgramBuilder::new();
+        b.push(Insn::mov_imm(r(1), 16));
+        b.push(Insn::load(r(2), r(1), 0));
+        b.push(Insn::store(r(2), r(1), 8));
+        b.push(Insn::halt());
+        let prog = b.build();
+        let image = MemImage::from_preload(vec![(0x10, 41), (0x18, 5), (0x20, 7)]);
+        let mut stream = vec![rec(1, 0), rec(2, 1), rec(3, 2), rec(4, 3)];
+        stream[0].reg_write = Some((1, 16));
+        stream[1].reg_write = Some((2, 41)); // read from the image
+        stream[2].mem_write = Some((0x18, 41));
+        stream[3].halted = true;
+        let mut oracle = LockstepOracle::new(&prog, &image);
+        for record in &stream {
+            oracle.step(record).expect("faithful record");
+        }
+        let mut regs = [0i64; NUM_GPRS];
+        regs[1] = 16;
+        regs[2] = 41;
+        let mut preds = [false; NUM_PREDS];
+        preds[0] = true;
+        let good: BTreeMap<u64, i64> = [(0x10, 41), (0x18, 41), (0x20, 7)].into();
+        oracle.finish(&regs, &preds, &good).expect("final state");
+
+        // An untouched image word missing from the retired memory.
+        let mut missing = good.clone();
+        missing.remove(&0x20);
+        let d = oracle.finish(&regs, &preds, &missing).unwrap_err();
+        assert!(d.detail.contains("mem[0x20]"), "{d}");
+        // The stored-over word still holding its input value.
+        let mut stale = good.clone();
+        stale.insert(0x18, 5);
+        let d = oracle.finish(&regs, &preds, &stale).unwrap_err();
+        assert!(d.detail.contains("mem[0x18]"), "{d}");
     }
 }

@@ -43,7 +43,9 @@ pub struct CacheStats {
     pub hits: u64,
     /// Accesses that missed (and filled).
     pub misses: u64,
-    /// Probes (non-filling lookups, e.g. wrong-path loads).
+    /// Non-filling lookups. Always 0: wrong-path loads access and fill
+    /// like demand loads, so nothing probes. Kept because the journal
+    /// layout and the golden fingerprints include it.
     pub probes: u64,
 }
 
@@ -134,15 +136,6 @@ impl Cache {
             *victim = Line { tag, lru: tick };
         }
         false
-    }
-
-    /// Non-filling lookup: returns `true` on a hit, does not change LRU and
-    /// does not allocate. Used for wrong-path accesses so speculation does
-    /// not pollute the cache (DESIGN.md simplification).
-    pub fn probe(&mut self, addr: u64) -> bool {
-        self.stats.probes += 1;
-        let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.tag == tag)
     }
 
     /// Pure presence check: no statistics, no LRU update, no allocation.
@@ -249,22 +242,6 @@ mod tests {
         c.access(0x100); // line C evicts B
         assert!(c.access(0x000), "A should survive");
         assert!(!c.access(0x080), "B was evicted");
-    }
-
-    #[test]
-    fn probe_does_not_allocate_or_touch() {
-        let mut c = tiny();
-        assert!(!c.probe(0x40));
-        assert!(!c.access(0x40));
-        assert!(c.probe(0x40));
-        // Probe must not refresh LRU: fill the set, probe the LRU line,
-        // then insert — the probed line must still be evicted.
-        c.access(0x0C0); // second way of set 1
-        // LRU in set 1 is 0x40 now; touch 0x40 via probe only.
-        c.probe(0x40);
-        c.access(0x140); // evicts 0x40 despite the probe
-        assert!(!c.probe(0x40));
-        assert!(c.probe(0x0C0));
     }
 
     #[test]

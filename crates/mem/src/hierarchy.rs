@@ -658,49 +658,6 @@ impl MemoryHierarchy {
         lat
     }
 
-    /// Wrong-path data access: computes the latency the access *would* see
-    /// at cycle `now` but does not install lines anywhere (no pollution).
-    ///
-    /// In the non-blocking model the probe is MSHR-aware instead of
-    /// charging the raw memory latency: a probe to a line already being
-    /// filled rides the in-flight fill (it arrives when the fill lands),
-    /// and a cold probe that would need an L2 MSHR queues behind the
-    /// earliest fill when the file is full — the same contention a demand
-    /// miss would see. The flat model keeps its historical composition.
-    pub fn data_probe(&mut self, addr: u64, now: u64) -> u64 {
-        let mut lat = self.l1d.latency();
-        if self.l1d.probe(addr) {
-            return lat;
-        }
-        if self.realistic {
-            self.drain_fills(now);
-            let line = self.line_of(addr);
-            if let Some(fill_at) = self.l1_mshrs.pending(line) {
-                return fill_at.saturating_sub(now).max(lat);
-            }
-            lat += self.l2.latency();
-            if self.l2.probe(addr) {
-                return lat;
-            }
-            if let Some(fill_at) = self.l2_mshrs.pending(line) {
-                return fill_at.saturating_sub(now).max(lat);
-            }
-            // Cold: a real miss would wait for a free L2 MSHR before the
-            // memory round-trip even starts.
-            let start = if self.l2_mshrs.is_full() {
-                self.l2_mshrs.next_fill_after(now).unwrap_or(now)
-            } else {
-                now
-            };
-            return (start - now) + lat + self.memory_latency;
-        }
-        lat += self.l2.latency();
-        if !self.l2.probe(addr) {
-            lat += self.memory_latency;
-        }
-        lat
-    }
-
     /// Statistics for (icache, l1d, l2).
     #[must_use]
     pub fn stats(&self) -> (CacheStats, CacheStats, CacheStats) {
@@ -746,14 +703,6 @@ mod tests {
         m.fetch_access_at(0x8000, 0); // fills L2 line
         // Data access to same line: L1D miss but L2 hit.
         assert_eq!(m.data_access_at(0x8000, false, 0), 2 + 6);
-    }
-
-    #[test]
-    fn probe_never_pollutes() {
-        let mut m = MemoryHierarchy::new(MemConfig::default());
-        assert_eq!(m.data_probe(0xA000, 0), 2 + 6 + 300);
-        // Still cold afterwards.
-        assert_eq!(m.data_access_at(0xA000, false, 0), 2 + 6 + 300);
     }
 }
 
@@ -1016,33 +965,6 @@ mod mshr_tests {
         assert_eq!(m.port_rejections(), 1);
         // Next cycle the ports are free again.
         assert!(matches!(m.data_access_nonblocking(0x3000, false, 3, 8), AccessOutcome::Pending(_)));
-    }
-
-    #[test]
-    fn realistic_probe_rides_pending_fills_and_queues_behind_full_mshrs() {
-        let cfg = MemConfig {
-            realistic: true,
-            l2_mshrs: 1,
-            ..MemConfig::default()
-        };
-        let mut m = MemoryHierarchy::new(cfg);
-        let AccessOutcome::Pending(fill) = m.data_access_nonblocking(0x1000, false, 1, 0) else {
-            panic!("cold miss must be pending");
-        };
-        // Probe of the in-flight line arrives with the fill, not after a
-        // fresh 308-cycle round trip.
-        assert_eq!(m.data_probe(0x1000, 100), fill - 100);
-        // Cold probe with the single L2 MSHR busy: the miss could not even
-        // start until the fill frees the entry.
-        let cold = m.data_probe(0x9000, 100);
-        assert_eq!(cold, (fill - 100) + 2 + 6 + 300);
-        // With a free MSHR the probe sees the plain composition.
-        assert_eq!(m.data_probe(0x9000, 400), 2 + 6 + 300);
-        // Probes never install.
-        assert!(matches!(
-            m.data_access_nonblocking(0x9000, false, 4, 400),
-            AccessOutcome::Pending(_)
-        ));
     }
 
     #[test]

@@ -39,7 +39,7 @@ impl RefCache {
         }
     }
 
-    fn probe(&self, addr: u64) -> bool {
+    fn contains(&self, addr: u64) -> bool {
         let line = addr / self.line_bytes;
         let set = (line as usize) % self.sets.len();
         let tag = line / self.sets.len() as u64;
@@ -62,9 +62,9 @@ proptest! {
         };
         let mut dut = Cache::new(cfg);
         let mut model = RefCache::new(4, ways, 64);
-        for (is_probe, addr) in ops {
-            if is_probe {
-                prop_assert_eq!(dut.probe(addr), model.probe(addr), "probe {:#x}", addr);
+        for (is_lookup, addr) in ops {
+            if is_lookup {
+                prop_assert_eq!(dut.contains(addr), model.contains(addr), "contains {:#x}", addr);
             } else {
                 prop_assert_eq!(dut.access(addr), model.access(addr), "access {:#x}", addr);
             }

@@ -161,7 +161,6 @@ fn fault_injected_job_stays_isolated_under_batching() {
     for kind in [FaultKind::Panic, FaultKind::Budget, FaultKind::Diverge] {
         let mut faulty_runner = runner(&ec, 2, 8);
         faulty_runner.set_fault_plan(FaultPlan::new().inject(2, kind));
-        faulty_runner.set_retry_limit(0);
         let faulty = faulty_runner.try_run(jobs.clone());
 
         for (i, (c, f)) in clean.iter().zip(&faulty).enumerate() {
