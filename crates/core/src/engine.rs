@@ -134,7 +134,7 @@ impl SweepJob {
             variant,
             input,
             train: TrainSpec::Single(ec.train_input),
-            compile: ec.compile.clone(),
+            compile: ec.compile,
             machine: ec.machine.clone(),
         }
     }
@@ -753,7 +753,7 @@ impl SweepRunner {
         attempts: u32,
     ) -> JobFailure {
         let failure = JobFailure {
-            job: job.clone(),
+            job: Box::new(job.clone()),
             index,
             error,
             attempts,

@@ -122,8 +122,9 @@ impl std::error::Error for JobError {}
 /// sequence, why, and after how many attempts.
 #[derive(Clone, Debug)]
 pub struct JobFailure {
-    /// The job that failed.
-    pub job: SweepJob,
+    /// The job that failed (boxed: a job is large, and a failure travels
+    /// in the `Err` arm of every job's result).
+    pub job: Box<SweepJob>,
     /// The job's global submission index on its runner.
     pub index: u64,
     /// The typed failure.
@@ -294,42 +295,6 @@ impl PlanKind for FaultKind {
 /// [`FaultKind`].
 pub type FaultPlan = InjectionPlan<FaultKind>;
 
-impl FaultPlan {
-    /// `k` faults at pseudo-random indices in `0..njobs`, kinds cycling
-    /// through panic/budget/diverge, from a splitmix64 stream seeded with
-    /// `seed`. Deterministic for a given `(seed, k, njobs)`.
-    #[must_use]
-    pub fn seeded(seed: u64, k: usize, njobs: u64) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        if njobs == 0 {
-            return plan;
-        }
-        let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
-        let kinds = [FaultKind::Panic, FaultKind::Budget, FaultKind::Diverge];
-        let mut placed = 0usize;
-        // Bounded draw loop: k can exceed the number of distinct indices.
-        for _ in 0..k.saturating_mul(16).max(16) {
-            if placed >= k || plan.faults.len() as u64 >= njobs {
-                break;
-            }
-            let idx = next() % njobs;
-            if plan.faults.contains_key(&idx) {
-                continue;
-            }
-            plan.faults.insert(idx, kinds[placed % kinds.len()]);
-            placed += 1;
-        }
-        plan
-    }
-}
-
 /// A deterministic serve-layer fault to inject at one global job index.
 /// Where [`FaultKind`] models *job* failures inside the engine,
 /// `ChaosKind` models *infrastructure* failures around it: hung worker
@@ -443,18 +408,6 @@ mod tests {
             r#"bad fault clause "panic" (want kind@index)"#
         );
         assert!(FaultPlan::parse("").unwrap().is_empty());
-    }
-
-    #[test]
-    fn seeded_plans_are_deterministic_and_bounded() {
-        let a = FaultPlan::seeded(42, 5, 100);
-        let b = FaultPlan::seeded(42, 5, 100);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 5);
-        assert!(a.iter().all(|(i, _)| i < 100));
-        assert!(FaultPlan::seeded(7, 10, 3).len() <= 3);
-        assert!(FaultPlan::seeded(7, 0, 100).is_empty());
-        assert!(FaultPlan::seeded(7, 2, 0).is_empty());
     }
 
     #[test]

@@ -316,54 +316,56 @@ impl<'a> Cursor<'a> {
 /// mismatch (the caller treats the entry as absent and re-runs the job).
 fn decode_outcome(data: &[i128], image: &MemImage) -> Option<RunOutcome> {
     let mut c = Cursor { data, pos: 0 };
-    let mut s = SimStats::default();
-    s.cycles = c.u64()?;
-    s.retired_uops = c.u64()?;
-    s.retired_guard_false = c.u64()?;
-    s.retired_select_uops = c.u64()?;
-    s.retired_cond_branches = c.u64()?;
-    s.flushes = c.u64()?;
-    s.retired_mispredicted = c.u64()?;
-    s.flushes_avoided = c.u64()?;
-    s.fetched_uops = c.u64()?;
-    s.fetch_idle_cycles = c.u64()?;
-    s.fetch_idle_imiss = c.u64()?;
-    s.fetch_idle_redirect = c.u64()?;
-    s.fetch_idle_queue_full = c.u64()?;
-    s.fetch_idle_blocked = c.u64()?;
-    s.dispatch_idle_cycles = c.u64()?;
-    s.retire_idle_cycles = c.u64()?;
-    s.squashed_uops = c.u64()?;
-    s.dhp_predications = c.u64()?;
-    s.dhp_flushes_avoided = c.u64()?;
-    s.pred_value_predictions = c.u64()?;
-    s.pred_value_mispredictions = c.u64()?;
-    s.store_forwards = c.u64()?;
-    s.load_replays = c.u64()?;
-    s.mshr_full_stalls = c.u64()?;
-    s.port_conflict_stalls = c.u64()?;
-    s.writebuf_full_stalls = c.u64()?;
-    s.wrong_path_fills = c.u64()?;
-    s.wish_jumps = c.wish()?;
-    s.wish_joins = c.wish()?;
-    s.wish_loops = c.wish()?;
-    s.loop_early_exits = c.u64()?;
-    s.loop_late_exits = c.u64()?;
-    s.loop_no_exits = c.u64()?;
-    s.cycle_accounting = CycleAccounting {
-        useful_retire: c.u64()?,
-        guard_false_retire: c.u64()?,
-        select_uop_retire: c.u64()?,
-        exec_wait: c.u64()?,
-        rob_stall: c.u64()?,
-        flush_recovery: c.u64()?,
-        fetch_imiss: c.u64()?,
-        fetch_redirect: c.u64()?,
-        frontend_fill: c.u64()?,
-        mshr_full: c.u64()?,
-        miss_pending: c.u64()?,
-        imiss_pending: c.u64()?,
-        writebuf_full: c.u64()?,
+    let mut s = SimStats {
+        cycles: c.u64()?,
+        retired_uops: c.u64()?,
+        retired_guard_false: c.u64()?,
+        retired_select_uops: c.u64()?,
+        retired_cond_branches: c.u64()?,
+        flushes: c.u64()?,
+        retired_mispredicted: c.u64()?,
+        flushes_avoided: c.u64()?,
+        fetched_uops: c.u64()?,
+        fetch_idle_cycles: c.u64()?,
+        fetch_idle_imiss: c.u64()?,
+        fetch_idle_redirect: c.u64()?,
+        fetch_idle_queue_full: c.u64()?,
+        fetch_idle_blocked: c.u64()?,
+        dispatch_idle_cycles: c.u64()?,
+        retire_idle_cycles: c.u64()?,
+        squashed_uops: c.u64()?,
+        dhp_predications: c.u64()?,
+        dhp_flushes_avoided: c.u64()?,
+        pred_value_predictions: c.u64()?,
+        pred_value_mispredictions: c.u64()?,
+        store_forwards: c.u64()?,
+        load_replays: c.u64()?,
+        mshr_full_stalls: c.u64()?,
+        port_conflict_stalls: c.u64()?,
+        writebuf_full_stalls: c.u64()?,
+        wrong_path_fills: c.u64()?,
+        wish_jumps: c.wish()?,
+        wish_joins: c.wish()?,
+        wish_loops: c.wish()?,
+        loop_early_exits: c.u64()?,
+        loop_late_exits: c.u64()?,
+        loop_no_exits: c.u64()?,
+        cycle_accounting: CycleAccounting {
+            useful_retire: c.u64()?,
+            guard_false_retire: c.u64()?,
+            select_uop_retire: c.u64()?,
+            exec_wait: c.u64()?,
+            rob_stall: c.u64()?,
+            flush_recovery: c.u64()?,
+            fetch_imiss: c.u64()?,
+            fetch_redirect: c.u64()?,
+            frontend_fill: c.u64()?,
+            mshr_full: c.u64()?,
+            miss_pending: c.u64()?,
+            imiss_pending: c.u64()?,
+            writebuf_full: c.u64()?,
+        },
+        ..SimStats::default()
     };
     let hot = c.usize()?;
     for _ in 0..hot {

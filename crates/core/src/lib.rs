@@ -79,13 +79,12 @@ pub use report::{
     json_escape, summary_json, summary_json_with_failures, throughput_json, Report, ReportData,
 };
 pub use request::{
-    parse_input_set, run_request, Budgets, RequestError, SweepRequest, SweepResponse, BATCH_ENV,
-    FAULT_PLAN_ENV, REQUEST_SCHEMA,
+    parse_input_set, Budgets, RequestError, SweepRequest, BATCH_ENV, FAULT_PLAN_ENV,
+    REQUEST_SCHEMA,
 };
 pub use serve::{
-    client_stream, client_stream_resilient, respawn_backoff, serve_forever, worker_main,
-    ResilientStream, ResponseLine, ResponseStream, ServeConfig, Server, DEFAULT_RECONNECTS,
-    RESPONSE_SCHEMA, WORKER_SPEC_SCHEMA,
+    client_stream, client_stream_resilient, respawn_backoff, worker_main, ResilientStream,
+    ResponseLine, ResponseStream, ServeConfig, Server, RESPONSE_SCHEMA, WORKER_SPEC_SCHEMA,
 };
 pub use store::ArtifactStore;
 pub use tables::{Table4Row, Table5Row};
@@ -102,7 +101,7 @@ pub mod prelude {
     pub use crate::error::{FaultKind, FaultPlan, JobError, JobFailure};
     pub use crate::experiment::{run_binary, trace_binary, ExperimentConfig};
     pub use crate::report::{summary_json, Report, ReportData};
-    pub use crate::request::{run_request, SweepRequest, SweepResponse};
+    pub use crate::request::SweepRequest;
     pub use crate::store::ArtifactStore;
     pub use wishbranch_compiler::BinaryVariant;
     pub use wishbranch_workloads::{suite, InputSet};

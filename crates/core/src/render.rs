@@ -402,8 +402,8 @@ mod tests {
         use crate::experiment::ExperimentConfig;
         let ec = ExperimentConfig::quick(20);
         let t = failure_table(&[JobFailure {
-            job: SweepJob::standard(1, wishbranch_compiler::BinaryVariant::BaseMax,
-                wishbranch_workloads::InputSet::C, &ec),
+            job: Box::new(SweepJob::standard(1, wishbranch_compiler::BinaryVariant::BaseMax,
+                wishbranch_workloads::InputSet::C, &ec)),
             index: 3,
             error: JobError::VerifyDivergence { detail: "addr 0x0".into() },
             attempts: 1,

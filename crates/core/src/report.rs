@@ -734,7 +734,7 @@ mod tests {
 
         let ec = ExperimentConfig::quick(20);
         let failure = JobFailure {
-            job: SweepJob::standard(2, BinaryVariant::BaseDef, InputSet::A, &ec),
+            job: Box::new(SweepJob::standard(2, BinaryVariant::BaseDef, InputSet::A, &ec)),
             index: 7,
             error: JobError::WorkerPanic {
                 payload: "boom".into(),

@@ -37,12 +37,12 @@
 use std::time::Duration;
 
 use crate::catalog::Experiment;
-use crate::engine::{default_workers, SweepRunner, SweepSummary};
-use crate::error::{FaultPlan, JobFailure};
+use crate::engine::{default_workers, SweepRunner};
+use crate::error::FaultPlan;
 use crate::experiment::ExperimentConfig;
 use crate::journal::fnv1a64;
 use crate::minijson::JsonValue;
-use crate::report::{json_escape, Report};
+use crate::report::json_escape;
 use wishbranch_workloads::InputSet;
 
 /// Schema tag on every request document.
@@ -598,48 +598,6 @@ pub fn parse_input_set(label: &str) -> Option<InputSet> {
         "C" | "c" => Some(InputSet::C),
         _ => None,
     }
-}
-
-/// The in-process result of a whole request: one [`Report`] per requested
-/// experiment plus the engine summary and failure table. This is what the
-/// `serve` protocol streams incrementally; [`run_request`] produces it in
-/// one call for local use.
-#[derive(Clone, Debug)]
-pub struct SweepResponse {
-    /// One report per experiment, in request order.
-    pub reports: Vec<Report>,
-    /// Aggregate engine statistics across all experiments.
-    pub summary: SweepSummary,
-    /// Every failed job, in the order failures were recorded.
-    pub failures: Vec<JobFailure>,
-    /// Whether the sweep aborted before finishing.
-    pub aborted: bool,
-}
-
-/// Runs a whole request in-process on one shared runner: every experiment
-/// in request order, profile/compile caches shared across them. The CLI's
-/// default path, and the bit-identity reference for served runs.
-///
-/// # Errors
-///
-/// A typed [`RequestError`] when the request does not validate; job-level
-/// failures are *not* errors — they land in
-/// [`SweepResponse::failures`].
-pub fn run_request(req: &SweepRequest) -> Result<SweepResponse, RequestError> {
-    let runner = req.build_runner()?;
-    let mut reports = Vec::new();
-    for exp in &req.experiments {
-        reports.push(exp.run(&runner));
-        if runner.aborted() {
-            break;
-        }
-    }
-    Ok(SweepResponse {
-        reports,
-        summary: runner.summary(),
-        failures: runner.failures(),
-        aborted: runner.aborted(),
-    })
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Sweep-as-a-service: a long-running server that accepts
 //! `wishbranch.request/v1` documents over local TCP from many concurrent
-//! clients, admits them under per-tenant simulated-cycle budgets, shards
-//! each request across a bounded pool of worker *processes*, and streams
-//! per-job results back as `wishbranch.response/v1` JSONL lines as they
-//! land.
+//! clients, admits them under per-tenant simulated-cycle budgets, runs
+//! each request in one worker *process* drawn from a bounded pool, and
+//! streams per-job results back as `wishbranch.response/v1` JSONL lines
+//! as they land.
 //!
 //! ## Protocol
 //!
@@ -32,20 +32,23 @@
 //! input image; decoding rebuilds that image from `wishbranch-workloads`
 //! (the client needs no simulator state) and checks its fingerprint.
 //!
-//! ## Sharding and crash recovery
+//! ## One shard per request, and crash recovery
 //!
-//! One shard = one experiment of the request. Each shard runs in a worker
-//! process (`wishbranch-repro --worker`, fed one
-//! `wishbranch.workerspec/v1` line on stdin), bounded by
-//! [`ServeConfig::max_procs`] process slots across all connections. Every
-//! shard journals to its own per-connection file; if a worker dies
-//! mid-shard (crash, `kill -9`, injected abort), the server respawns it
-//! in resume mode — completed jobs replay bit-identically from the
-//! journal and re-announce through the stream, the server deduplicates by
-//! job key, and the client sees a complete, gap-free, duplicate-free
-//! stream. Respawns strip the request's fault plan, mirroring the CLI's
-//! kill-then-resume contract (a resume legitimately does not re-inject
-//! the fault that killed the run).
+//! A request is one shard: one worker process (`wishbranch-repro
+//! --worker`, fed one `wishbranch.workerspec/v1` line on stdin) runs all
+//! of its experiments on one runner, exactly as the CLI does, so they
+//! share profiles and compiled binaries, fault-plan indices count across
+//! the whole request, and the worker's `done` line is forwarded as is.
+//! [`ServeConfig::max_procs`] process slots bound workers across all
+//! connections; a request's parallelism is its `workers` threads. The
+//! shard journals to `conn-N/journal.jsonl`; if the worker dies mid-run
+//! (crash, `kill -9`, injected abort), the server respawns it in resume
+//! mode — completed jobs and finished experiments replay bit-identically
+//! from the journal and re-announce through the stream, the server
+//! deduplicates jobs by key and reports by experiment, and the client
+//! sees a complete, gap-free, duplicate-free stream. Respawns strip the
+//! request's fault plan, mirroring the CLI's kill-then-resume contract (a
+//! resume legitimately does not re-inject the fault that killed the run).
 //!
 //! ## Admission and billing
 //!
@@ -64,6 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+use crate::engine::SweepSummary;
 use crate::error::{ChaosKind, ChaosPlan, FaultPlan};
 use crate::journal::encode_entry;
 use crate::minijson::JsonValue;
@@ -85,11 +89,11 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 /// lives, and who may spend how much.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// The binary to fork/exec per shard (run with `--worker`); normally
+    /// The binary to fork/exec per request (run with `--worker`); normally
     /// the server's own executable.
     pub worker_exe: PathBuf,
     /// Root for per-connection shard journals
-    /// (`<state_dir>/conn-N/<experiment>/journal.jsonl`).
+    /// (`<state_dir>/conn-N/journal.jsonl`).
     pub state_dir: PathBuf,
     /// Content-addressed artifact store shared by every worker, run and
     /// tenant; `None` disables the store.
@@ -273,24 +277,6 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
-/// Aggregated statistics of one finished shard, lifted from the worker's
-/// `done` line.
-#[derive(Clone, Debug, Default)]
-struct ShardStats {
-    jobs: u64,
-    failed: u64,
-    store_hits: u64,
-    store_misses: u64,
-    store_quarantined: u64,
-    profile_misses: u64,
-    compile_misses: u64,
-    sim_cycles: u64,
-    /// Jobs the shard ran fresh inside same-binary groups of two or more.
-    batched_jobs: u64,
-    /// The raw contents of the shard's `failures` array (no brackets).
-    failures: String,
-}
-
 /// A shard-level failure: a stable `kind` for the failure table plus a
 /// human-readable reason.
 struct ShardError {
@@ -404,25 +390,15 @@ impl Server {
     }
 }
 
-/// Binds to `addr`, prints one `listening on <addr>` line to stdout
-/// (flushed, so wrappers can scrape the port), and serves forever.
-///
-/// # Errors
-///
-/// Bind or accept-loop I/O errors.
-pub fn serve_forever(addr: &str, cfg: ServeConfig) -> io::Result<()> {
-    let server = Server::bind(addr, cfg)?;
-    println!("listening on {}", server.local_addr()?);
-    io::stdout().flush()?;
-    server.run()
-}
-
-/// A line writer shared by every shard of one connection. Once a write
-/// fails (client went away) further writes are skipped; workers still
-/// finish so the journal and store stay complete.
+/// The connection's line writer. Once a write fails (client went away)
+/// further writes are skipped; the worker still finishes so the journal
+/// and store stay complete.
 struct ConnWriter {
     stream: TcpStream,
     dead: bool,
+    /// Job keys and experiments already forwarded, across every attempt.
+    jobs: HashSet<u64>,
+    reports: HashSet<String>,
 }
 
 impl ConnWriter {
@@ -437,20 +413,35 @@ impl ConnWriter {
             self.dead = true;
         }
     }
-}
 
-fn rejected_line(kind: &str, reason: &str) -> String {
-    format!(
-        "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"rejected\",\"kind\":\"{}\",\"reason\":\"{}\"}}",
-        json_escape(kind),
-        json_escape(reason)
-    )
+    /// Relays one worker line. Only well-formed lines count: a torn or
+    /// garbled `job` line must neither reach the client nor claim the key
+    /// a journal replay will send again. Each job key and each
+    /// experiment's report goes out once, however many respawns replay
+    /// it, in the worker's bytes. The `done` line is returned, not sent;
+    /// heartbeats and stray output are dropped.
+    fn relay(&mut self, line: String) -> Option<ShardDone> {
+        match ResponseLine::parse(&line) {
+            Ok(ResponseLine::Job { key, .. }) if self.jobs.insert(key) => self.send(&line),
+            Ok(ResponseLine::Report { experiment, .. }) if !self.reports.contains(&experiment) => {
+                self.reports.insert(experiment);
+                self.send(&line);
+            }
+            Ok(ResponseLine::Done { sim_cycles, .. }) => return Some((line, sim_cycles)),
+            _ => {}
+        }
+        None
+    }
 }
 
 /// Sends a typed `rejected` line and counts it in the server stats.
 fn reject(shared: &Shared, writer: &mut ConnWriter, kind: &str, reason: &str) {
     shared.stats.rejected_requests.fetch_add(1, Ordering::Relaxed);
-    writer.send(&rejected_line(kind, reason));
+    let rejected = ResponseLine::Rejected {
+        kind: kind.to_string(),
+        reason: reason.to_string(),
+    };
+    writer.send(&rejected.to_line());
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
@@ -466,6 +457,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
     let mut writer = ConnWriter {
         stream,
         dead: false,
+        jobs: HashSet::new(),
+        reports: HashSet::new(),
     };
     // The request line (newline included) is capped: one extra byte of
     // budget distinguishes "exactly at the cap" from "overflowed it".
@@ -524,107 +517,62 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
             return;
         }
     }
-    writer.send(&format!(
-        "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"accepted\",\"tenant\":\"{}\",\"fingerprint\":{}}}",
-        json_escape(&req.tenant),
-        req.fingerprint()
-    ));
+    let accepted = ResponseLine::Accepted {
+        tenant: req.tenant.clone(),
+        fingerprint: req.fingerprint(),
+    };
+    writer.send(&accepted.to_line());
     let conn = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
     let conn_dir = shared.cfg.state_dir.join(format!("conn-{conn:06}"));
-    let writer = Mutex::new(writer);
-    let seen = Mutex::new(HashSet::new());
-    // Shard deadline: one absolute instant spanning every respawn attempt
-    // of every shard, derived from the request's own wall budget.
+    // Shard deadline: one absolute instant spanning every respawn attempt,
+    // derived from the request's own wall budget.
     let deadline = match (req.budgets.wall_ms, cfg.shard_deadline_factor) {
         (Some(ms), factor) if factor > 0 => {
             Some(Instant::now() + Duration::from_millis(ms.saturating_mul(factor)))
         }
         _ => None,
     };
-    // One shard per experiment, all in flight at once; the process-slot
-    // semaphore (shared across connections) bounds real concurrency.
-    let results: Vec<Result<ShardStats, ShardError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = req
-            .experiments
-            .iter()
-            .map(|exp| {
-                let mut shard_req = req.clone();
-                shard_req.experiments = vec![*exp];
-                let conn_dir = &conn_dir;
-                let writer = &writer;
-                let seen = &seen;
-                scope.spawn(move || run_shard(shared, conn_dir, shard_req, deadline, seen, writer))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(result) => result,
-                Err(_) => Err(ShardError::failed("shard thread panicked".to_string())),
-            })
-            .collect()
+    let label = req.experiments.iter().map(|e| e.id()).collect::<Vec<_>>().join(",");
+    // The shard runs on a thread of its own rather than inline: inline,
+    // perfbench's served-store cold time to first job rose by ~0.8 ms in
+    // two separate setups on a 2-vCPU VM (cause not found). Joining the
+    // handle here turns a panicked shard thread into a `shard_failed` item.
+    let result = std::thread::scope(|scope| {
+        scope
+            .spawn(|| run_shard(shared, &conn_dir, req.clone(), &label, deadline, &mut writer))
+            .join()
+            .unwrap_or_else(|_| Err(ShardError::failed("shard thread panicked".to_string())))
     });
-    // Synthesize the request-level `done` line from the shard summaries.
-    let mut total = ShardStats::default();
-    let mut failure_items: Vec<String> = Vec::new();
-    for (exp, result) in req.experiments.iter().zip(results) {
-        match result {
-            Ok(stats) => {
-                total.jobs += stats.jobs;
-                total.failed += stats.failed;
-                total.store_hits += stats.store_hits;
-                total.store_misses += stats.store_misses;
-                total.store_quarantined += stats.store_quarantined;
-                total.profile_misses += stats.profile_misses;
-                total.compile_misses += stats.compile_misses;
-                total.sim_cycles += stats.sim_cycles;
-                total.batched_jobs += stats.batched_jobs;
-                if !stats.failures.is_empty() {
-                    failure_items.push(stats.failures);
-                }
-            }
-            Err(e) => {
-                total.failed += 1;
-                failure_items.push(failure_item_json(0, e.kind, exp.id(), &e.reason, 0));
-            }
+    let (done, sim_cycles) = match result {
+        Ok(done) => done,
+        Err(e) => {
+            let failed = SweepSummary {
+                failed: 1,
+                ..SweepSummary::default()
+            };
+            let failures = failure_item_json(0, e.kind, &label, &e.reason, 0);
+            (done_line(&failed, failures), 0)
         }
-    }
-    lock(&shared.ledger)
-        .entry(req.tenant.clone())
-        .and_modify(|spent| *spent += total.sim_cycles)
-        .or_insert(total.sim_cycles);
-    let stats_line = format!(
-        "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"stats\",\"respawns\":{},\
-         \"hung_killed\":{},\"deadline_kills\":{},\"rejected_requests\":{}}}",
-        shared.stats.respawns.load(Ordering::Relaxed),
-        shared.stats.hung_killed.load(Ordering::Relaxed),
-        shared.stats.deadline_kills.load(Ordering::Relaxed),
-        shared.stats.rejected_requests.load(Ordering::Relaxed),
-    );
-    let mut w = lock(&writer);
-    w.send(&stats_line);
-    w.send(&format!(
-        "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"done\",\"jobs\":{},\"failed\":{},\
-         \"store_hits\":{},\"store_misses\":{},\"store_quarantined\":{},\
-         \"profile_misses\":{},\"compile_misses\":{},\
-         \"sim_cycles\":{},\"batched_jobs\":{},\"failures\":[{}]}}",
-        total.jobs,
-        total.failed,
-        total.store_hits,
-        total.store_misses,
-        total.store_quarantined,
-        total.profile_misses,
-        total.compile_misses,
-        total.sim_cycles,
-        total.batched_jobs,
-        failure_items.join(",")
-    ));
+    };
+    *lock(&shared.ledger).entry(req.tenant).or_insert(0) += sim_cycles;
+    let stats = ResponseLine::Stats {
+        respawns: shared.stats.respawns.load(Ordering::Relaxed),
+        hung_killed: shared.stats.hung_killed.load(Ordering::Relaxed),
+        deadline_kills: shared.stats.deadline_kills.load(Ordering::Relaxed),
+        rejected_requests: shared.stats.rejected_requests.load(Ordering::Relaxed),
+    };
+    writer.send(&stats.to_line());
+    writer.send(&done);
 }
+
+/// The worker's own `done` line, forwarded verbatim, and the simulated
+/// cycles it bills.
+type ShardDone = (String, u64);
 
 /// How one worker attempt ended, as seen by the shard's respawn loop.
 enum ShardOutcome {
-    /// The worker printed its shard `done` line and exited.
-    Done(ShardStats),
+    /// The worker printed its `done` line and exited.
+    Done(ShardDone),
     /// The worker died (crash, abort, torn write) before `done`.
     Died,
     /// The worker's liveness heartbeat went silent; it was killed.
@@ -633,31 +581,29 @@ enum ShardOutcome {
     DeadlineKilled,
 }
 
-/// Runs one shard to completion: spawn a worker, forward its stream,
-/// respawn in resume mode (after a deterministic attempt-indexed backoff)
-/// if it dies or hangs before finishing. A shard-deadline expiry is a
-/// budget violation, not a transient fault, so it fails the shard without
-/// respawning.
+/// Runs the request's shard to completion: spawn a worker, forward its
+/// stream, respawn in resume mode (after a deterministic attempt-indexed
+/// backoff) if it dies or hangs before finishing. A shard-deadline expiry
+/// is a budget violation, not a transient fault, so it fails the shard
+/// without respawning. `label` names the shard in failure reasons.
 fn run_shard(
     shared: &Shared,
     conn_dir: &Path,
-    mut shard_req: SweepRequest,
+    mut req: SweepRequest,
+    label: &str,
     deadline: Option<Instant>,
-    seen: &Mutex<HashSet<u64>>,
-    writer: &Mutex<ConnWriter>,
-) -> Result<ShardStats, ShardError> {
-    let exp_id = shard_req.experiments[0].id();
-    let shard_dir = conn_dir.join(exp_id);
-    std::fs::create_dir_all(&shard_dir)
+    writer: &mut ConnWriter,
+) -> Result<ShardDone, ShardError> {
+    std::fs::create_dir_all(conn_dir)
         .map_err(|e| ShardError::failed(format!("creating shard dir: {e}")))?;
-    let journal_path = shard_dir.join("journal.jsonl");
+    let journal_path = conn_dir.join("journal.jsonl");
     let mut attempt = 0u32;
     loop {
         let resume = attempt > 0;
         if resume {
             // Mirror the CLI's kill-then-resume contract: a resume does
             // not re-inject the fault that killed the previous attempt.
-            shard_req.fault_plan = Some(FaultPlan::new());
+            req.fault_plan = Some(FaultPlan::new());
         }
         // Chaos rides only on the first attempt, stripped on respawn for
         // the same reason.
@@ -668,24 +614,15 @@ fn run_shard(
         };
         let outcome = {
             let _slot = shared.slots.acquire();
-            spawn_and_stream(
-                shared,
-                &journal_path,
-                resume,
-                &shard_req,
-                &chaos,
-                deadline,
-                seen,
-                writer,
-            )
+            spawn_and_stream(shared, &journal_path, resume, &req, &chaos, deadline, writer)
         };
         match outcome {
-            Ok(ShardOutcome::Done(stats)) => return Ok(stats),
+            Ok(ShardOutcome::Done(done)) => return Ok(done),
             Ok(ShardOutcome::Died | ShardOutcome::HungKilled) => {
                 attempt += 1;
                 if attempt > shared.cfg.max_respawns {
                     return Err(ShardError::failed(format!(
-                        "worker for {exp_id} died {attempt} times without completing its shard"
+                        "worker for {label} died {attempt} times without completing its shard"
                     )));
                 }
                 shared.stats.respawns.fetch_add(1, Ordering::Relaxed);
@@ -695,13 +632,13 @@ fn run_shard(
                 return Err(ShardError {
                     kind: "shard_deadline_exceeded",
                     reason: format!(
-                        "shard {exp_id} exceeded its deadline \
+                        "shard {label} exceeded its deadline \
                          (budget_wall_ms x {}) and was killed",
                         shared.cfg.shard_deadline_factor
                     ),
                 });
             }
-            Err(e) => return Err(ShardError::failed(format!("worker for {exp_id}: {e}"))),
+            Err(e) => return Err(ShardError::failed(format!("worker for {label}: {e}"))),
         }
     }
 }
@@ -737,16 +674,14 @@ fn worker_spec_line(
 /// liveness (any output, heartbeat or protocol, counts) and the shard
 /// deadline. A worker that goes silent past the liveness threshold, or
 /// outlives the deadline, is killed — never waited on forever.
-#[allow(clippy::too_many_arguments)]
 fn spawn_and_stream(
     shared: &Shared,
     journal_path: &Path,
     resume: bool,
-    shard_req: &SweepRequest,
+    req: &SweepRequest,
     chaos: &str,
     deadline: Option<Instant>,
-    seen: &Mutex<HashSet<u64>>,
-    writer: &Mutex<ConnWriter>,
+    writer: &mut ConnWriter,
 ) -> io::Result<ShardOutcome> {
     let cfg = &shared.cfg;
     let mut child = Command::new(&cfg.worker_exe)
@@ -762,7 +697,7 @@ fn spawn_and_stream(
             journal_path,
             cfg.store_dir.as_deref(),
             resume,
-            shard_req,
+            req,
             cfg.heartbeat_ms,
             chaos,
         );
@@ -787,7 +722,7 @@ fn spawn_and_stream(
     });
     let liveness = Duration::from_millis(cfg.liveness_timeout_ms.max(1));
     let mut last_activity = Instant::now();
-    let mut stats = None;
+    let mut done = None;
     let outcome = loop {
         let now = Instant::now();
         if deadline.is_some_and(|d| now >= d) {
@@ -806,53 +741,17 @@ fn spawn_and_stream(
         };
         match rx.recv_timeout(wait) {
             Ok(Ok(line)) => {
+                // Any line proves liveness; the writer decides what else
+                // it is.
                 last_activity = Instant::now();
-                // Any line proves liveness. Only well-formed lines count
-                // beyond that: a torn or garbled `job` line must neither
-                // reach the client nor claim the key a journal replay will
-                // send again. Forwarded lines keep the worker's bytes.
-                match ResponseLine::parse(&line) {
-                    Ok(ResponseLine::Job { key, .. }) if lock(seen).insert(key) => {
-                        lock(writer).send(&line);
-                    }
-                    Ok(ResponseLine::Report { .. }) => lock(writer).send(&line),
-                    Ok(ResponseLine::Done {
-                        jobs,
-                        failed,
-                        store_hits,
-                        store_misses,
-                        store_quarantined,
-                        profile_misses,
-                        compile_misses,
-                        sim_cycles,
-                        batched_jobs,
-                        failures,
-                    }) => {
-                        stats = Some(ShardStats {
-                            jobs,
-                            failed,
-                            store_hits,
-                            store_misses,
-                            store_quarantined,
-                            profile_misses,
-                            compile_misses,
-                            sim_cycles,
-                            batched_jobs,
-                            failures,
-                        });
-                    }
-                    // Heartbeats, repeated keys, stray output and malformed
-                    // lines are never forwarded.
-                    _ => {}
+                if let Some(line) = writer.relay(line) {
+                    done = Some(line);
                 }
             }
             // Pipe closed (worker exited) or errored: classify by whether
-            // the shard `done` line arrived first.
+            // the worker's `done` line arrived first.
             Ok(Err(_)) | Err(mpsc::RecvTimeoutError::Disconnected) => {
-                break match stats.take() {
-                    Some(s) => ShardOutcome::Done(s),
-                    None => ShardOutcome::Died,
-                };
+                break done.take().map_or(ShardOutcome::Died, ShardOutcome::Done);
             }
             // Woke to re-check liveness/deadline; loop around.
             Err(mpsc::RecvTimeoutError::Timeout) => {}
@@ -882,13 +781,8 @@ pub fn worker_main() -> i32 {
         return 2;
     }
     match worker_run(spec_line.trim()) {
-        Ok(aborted) => {
-            if aborted {
-                4
-            } else {
-                0
-            }
-        }
+        Ok(true) => 4,
+        Ok(false) => 0,
         Err(msg) => {
             eprintln!("worker: {msg}");
             2
@@ -952,9 +846,7 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
                 if !alive.load(Ordering::SeqCst) {
                     return;
                 }
-                println!(
-                    "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"heartbeat\",\"seq\":{seq}}}"
-                );
+                println!("{}", ResponseLine::Heartbeat { seq }.to_line());
                 seq += 1;
             }
         });
@@ -972,12 +864,14 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
     runner.set_observer(Arc::new(move |key, result| {
         // The journal is attached, so the engine hands over the entry it
         // already wrote (or read back on a hit) and nothing is re-encoded.
-        let entry = (result.entry.clone())
-            .unwrap_or_else(|| encode_entry(key, &result.outcome).into());
-        let line = format!(
-            "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"{}\",\"key\":{key},\"entry\":{entry}}}",
-            json_escape(&lock(&label)),
-        );
+        let entry = (result.entry.as_deref())
+            .map_or_else(|| encode_entry(key, &result.outcome), str::to_string);
+        let line = ResponseLine::Job {
+            experiment: lock(&label).clone(),
+            key,
+            entry,
+        }
+        .to_line();
         let index = completed.fetch_add(1, Ordering::SeqCst);
         match chaos.fault_at(index) {
             Some(ChaosKind::TornLine) => {
@@ -1015,30 +909,31 @@ fn worker_run(spec_line: &str) -> Result<bool, String> {
         if runner.aborted() {
             return Ok(true);
         }
-        println!(
-            "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"report\",\"experiment\":\"{}\",\"report\":{}}}",
-            json_escape(exp.id()),
-            report.to_json()
-        );
+        let report = ResponseLine::Report {
+            experiment: exp.id().to_string(),
+            report: report.to_json(),
+        };
+        println!("{}", report.to_line());
     }
-    let s = runner.summary();
-    println!(
-        "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"done\",\"jobs\":{},\"failed\":{},\
-         \"store_hits\":{},\"store_misses\":{},\"store_quarantined\":{},\
-         \"profile_misses\":{},\"compile_misses\":{},\
-         \"sim_cycles\":{},\"batched_jobs\":{},\"failures\":[{}]}}",
-        s.jobs,
-        s.failed,
-        s.store_hits,
-        s.store_misses,
-        s.store_quarantined,
-        s.profile_misses,
-        s.compile_misses,
-        s.sim_cycles,
-        s.batched_jobs,
-        failures_json(&runner.failures())
-    );
+    println!("{}", done_line(&runner.summary(), failures_json(&runner.failures())));
     Ok(false)
+}
+
+/// The `done` line of a runner's summary and its `failures` array items.
+fn done_line(s: &SweepSummary, failures: String) -> String {
+    let done = ResponseLine::Done {
+        jobs: s.jobs,
+        failed: s.failed,
+        store_hits: s.store_hits,
+        store_misses: s.store_misses,
+        store_quarantined: s.store_quarantined,
+        profile_misses: s.profile_misses,
+        compile_misses: s.compile_misses,
+        sim_cycles: s.sim_cycles,
+        batched_jobs: s.batched_jobs,
+        failures,
+    };
+    done.to_line()
 }
 
 // ---------------------------------------------------------------------------
@@ -1203,6 +1098,72 @@ impl ResponseLine {
             other => Err(format!("unknown response type {other:?}")),
         }
     }
+
+    /// Encodes the line: the inverse of [`parse`](ResponseLine::parse),
+    /// byte for byte. The payload fields (`entry`, `report`, `failures`)
+    /// go last, where `parse` expects them.
+    #[must_use]
+    pub fn to_line(&self) -> String {
+        use std::fmt::Write as _;
+        let mut line = format!("{{\"schema\":\"{RESPONSE_SCHEMA}\",");
+        let _ = match self {
+            ResponseLine::Accepted { tenant, fingerprint } => write!(
+                line,
+                "\"type\":\"accepted\",\"tenant\":\"{}\",\"fingerprint\":{fingerprint}}}",
+                json_escape(tenant)
+            ),
+            ResponseLine::Rejected { kind, reason } => write!(
+                line,
+                "\"type\":\"rejected\",\"kind\":\"{}\",\"reason\":\"{}\"}}",
+                json_escape(kind),
+                json_escape(reason)
+            ),
+            ResponseLine::Job { experiment, key, entry } => write!(
+                line,
+                "\"type\":\"job\",\"experiment\":\"{}\",\"key\":{key},\"entry\":{entry}}}",
+                json_escape(experiment)
+            ),
+            ResponseLine::Report { experiment, report } => write!(
+                line,
+                "\"type\":\"report\",\"experiment\":\"{}\",\"report\":{report}}}",
+                json_escape(experiment)
+            ),
+            ResponseLine::Heartbeat { seq } => {
+                write!(line, "\"type\":\"heartbeat\",\"seq\":{seq}}}")
+            }
+            ResponseLine::Stats {
+                respawns,
+                hung_killed,
+                deadline_kills,
+                rejected_requests,
+            } => write!(
+                line,
+                "\"type\":\"stats\",\"respawns\":{respawns},\"hung_killed\":{hung_killed},\
+                 \"deadline_kills\":{deadline_kills},\"rejected_requests\":{rejected_requests}}}"
+            ),
+            ResponseLine::Done {
+                jobs,
+                failed,
+                store_hits,
+                store_misses,
+                store_quarantined,
+                profile_misses,
+                compile_misses,
+                sim_cycles,
+                batched_jobs,
+                failures,
+            } => write!(
+                line,
+                "\"type\":\"done\",\"jobs\":{jobs},\"failed\":{failed},\
+                 \"store_hits\":{store_hits},\"store_misses\":{store_misses},\
+                 \"store_quarantined\":{store_quarantined},\
+                 \"profile_misses\":{profile_misses},\"compile_misses\":{compile_misses},\
+                 \"sim_cycles\":{sim_cycles},\"batched_jobs\":{batched_jobs},\
+                 \"failures\":[{failures}]}}"
+            ),
+        };
+        line
+    }
 }
 
 /// An open response stream: iterate to receive parsed lines as the server
@@ -1289,9 +1250,6 @@ pub struct ResilientStream {
     pending_done: Option<(String, ResponseLine)>,
     finished: bool,
 }
-
-/// How many reconnect attempts a resilient client makes by default.
-pub const DEFAULT_RECONNECTS: u32 = 3;
 
 /// Connects like [`client_stream`] but returns a [`ResilientStream`]
 /// that survives up to `max_reconnects` dropped connections.
@@ -1412,35 +1370,19 @@ mod tests {
     #[test]
     fn response_lines_round_trip() {
         let cases = [
-            format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"accepted\",\"tenant\":\"a\",\"fingerprint\":7}}"
-            ),
-            rejected_line("cycle_budget_exceeded", "over budget"),
-            format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"fig10\",\"key\":9,\"entry\":{{\"key\":9,\"v\":2,\"data\":[1,2]}}}}"
-            ),
-            format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"job\",\"experiment\":\"fig10\",\"key\":18446744073709551615,\"entry\":{{\"key\":18446744073709551615,\"v\":2,\"data\":[]}}}}"
-            ),
-            format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"report\",\"experiment\":\"fig10\",\"report\":{{\"schema\":\"wishbranch.report/v1\"}}}}"
-            ),
-            format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"heartbeat\",\"seq\":11}}"
-            ),
-            format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"stats\",\"respawns\":2,\
-                 \"hung_killed\":1,\"deadline_kills\":0,\"rejected_requests\":3}}"
-            ),
-            format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"type\":\"done\",\"jobs\":3,\"failed\":0,\
-                 \"store_hits\":1,\"store_misses\":2,\"store_quarantined\":1,\
-                 \"profile_misses\":0,\"compile_misses\":0,\
-                 \"sim_cycles\":42,\"failures\":[]}}"
-            ),
+            r#"{"schema":"wishbranch.response/v1","type":"accepted","tenant":"a","fingerprint":7}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"rejected","kind":"cycle_budget_exceeded","reason":"over \"budget\""}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"job","experiment":"fig10","key":9,"entry":{"key":9,"v":2,"data":[1,2]}}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"job","experiment":"fig10","key":18446744073709551615,"entry":{"key":18446744073709551615,"v":2,"data":[]}}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"report","experiment":"fig10","report":{"schema":"wishbranch.report/v1"}}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"heartbeat","seq":11}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"stats","respawns":2,"hung_killed":1,"deadline_kills":0,"rejected_requests":3}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"done","jobs":3,"failed":0,"store_hits":1,"store_misses":2,"store_quarantined":1,"profile_misses":0,"compile_misses":0,"sim_cycles":42,"batched_jobs":2,"failures":[]}"#,
+            r#"{"schema":"wishbranch.response/v1","type":"done","jobs":0,"failed":1,"store_hits":0,"store_misses":0,"store_quarantined":0,"profile_misses":0,"compile_misses":0,"sim_cycles":0,"batched_jobs":0,"failures":[{"index":0,"kind":"shard_failed","job":"fig10,fig12","error":"x","attempts":0}]}"#,
         ];
-        for line in &cases {
+        for line in cases {
             let parsed = ResponseLine::parse(line).expect(line);
+            assert_eq!(parsed.to_line(), line, "to_line inverts parse byte for byte");
             match parsed {
                 ResponseLine::Job { key: 9, ref entry, .. } => {
                     assert_eq!(entry, "{\"key\":9,\"v\":2,\"data\":[1,2]}");
@@ -1462,17 +1404,66 @@ mod tests {
                     assert_eq!(hung_killed, 1);
                 }
                 ResponseLine::Done {
-                    sim_cycles,
+                    sim_cycles: 42,
                     store_quarantined,
+                    batched_jobs,
                     ..
                 } => {
-                    assert_eq!(sim_cycles, 42);
                     assert_eq!(store_quarantined, 1);
+                    assert_eq!(batched_jobs, 2);
+                }
+                ResponseLine::Done { ref failures, .. } => {
+                    assert!(failures.starts_with("{\"index\":0,\"kind\":\"shard_failed\""));
                 }
                 _ => {}
             }
         }
         assert!(ResponseLine::parse("{\"schema\":\"nope\"}").is_err());
+    }
+
+    #[test]
+    fn every_variant_survives_to_line_then_parse() {
+        let values = [
+            ResponseLine::Accepted {
+                tenant: "t \"q\"\n".into(),
+                fingerprint: u64::MAX,
+            },
+            ResponseLine::Rejected {
+                kind: "request_too_large".into(),
+                reason: "line\\exceeds".into(),
+            },
+            ResponseLine::Job {
+                experiment: "fig12".into(),
+                key: 5,
+                entry: "{\"key\":5,\"v\":4,\"data\":[]}".into(),
+            },
+            ResponseLine::Report {
+                experiment: "tab4".into(),
+                report: "{\"schema\":\"wishbranch.report/v1\",\"rows\":[1]}".into(),
+            },
+            ResponseLine::Heartbeat { seq: 0 },
+            ResponseLine::Stats {
+                respawns: 1,
+                hung_killed: 2,
+                deadline_kills: 3,
+                rejected_requests: 4,
+            },
+            ResponseLine::Done {
+                jobs: 10,
+                failed: 1,
+                store_hits: 2,
+                store_misses: 3,
+                store_quarantined: 4,
+                profile_misses: 5,
+                compile_misses: 6,
+                sim_cycles: 7,
+                batched_jobs: 8,
+                failures: failure_item_json(3, "worker_panic", "bench0 normal @A", "boom", 1),
+            },
+        ];
+        for value in values {
+            assert_eq!(ResponseLine::parse(&value.to_line()), Ok(value));
+        }
     }
 
     #[test]

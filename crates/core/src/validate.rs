@@ -196,7 +196,7 @@ impl FuzzCase {
                         src2,
                         imm,
                     } => {
-                        let rhs = src2.map_or(Operand::imm(imm), |s| Operand::reg(s));
+                        let rhs = src2.map_or(Operand::imm(imm), Operand::reg);
                         f.alu(op, r(dst), r(src1), rhs);
                     }
                     FuzzOp::Load { dst, off } => f.load(r(dst), r(BASE_REG), off),
@@ -428,6 +428,9 @@ fn compile_case(case: &FuzzCase) -> Option<Program> {
     Some(compile(&module, &profile, case.variant, &case.compile).program)
 }
 
+/// A test hook that mutates a retired stream before it is replayed.
+type CorruptRecords<'a> = &'a dyn Fn(&mut Vec<RetireRecord>);
+
 /// Lockstep-checks one compiled case with the sweeps' check sequence.
 /// `corrupt_records` is the test hook for injected commit-path mutations
 /// (applied to the retired stream before replay). `Ok(None)` = clean,
@@ -436,7 +439,7 @@ fn compile_case(case: &FuzzCase) -> Option<Program> {
 fn lockstep_program(
     program: &Program,
     case: &FuzzCase,
-    corrupt_records: Option<&dyn Fn(&mut Vec<RetireRecord>)>,
+    corrupt_records: Option<CorruptRecords<'_>>,
 ) -> Result<Option<String>, ()> {
     let image = MemImage::from_preload(case.input_mem());
     let label = format!("fuzz {}", case.variant.label());

@@ -394,7 +394,6 @@ macro_rules! prop_oneof {
 #[cfg(test)]
 mod tests {
     use crate::prelude::*;
-    use crate::Strategy as _;
 
     #[test]
     fn ranges_respect_bounds() {

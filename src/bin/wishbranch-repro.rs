@@ -78,7 +78,7 @@
 
 use wishbranch_compiler::BinaryVariant;
 use wishbranch_core::{
-    client_stream, client_stream_resilient, failure_table, fuzz_lockstep, parse_input_set,
+    client_stream_resilient, failure_table, fuzz_lockstep, parse_input_set,
     summary_json_with_failures, sweep_summary_table, trace_binary, validate_suite, worker_main,
     ChaosPlan, Experiment, ExperimentConfig, FaultPlan, FuzzOutcome, JobError, JournalError,
     ResponseLine, ServeConfig, Server, SweepRequest,
@@ -440,7 +440,8 @@ fn serve_main(args: &[String]) {
 /// `DIR/summary.json` combining the server's `stats` and `done` lines.
 /// `--reconnect N` survives up to N dropped connections by re-submitting
 /// the same fingerprinted request and merging the streams (gap-free,
-/// duplicate-free).
+/// duplicate-free). A stream that ends before `done` once the budget
+/// (default 0) is spent exits 1.
 fn client_main(args: &[String]) {
     let mut addr: Option<String> = None;
     let mut reconnects = 0u32;
@@ -466,18 +467,8 @@ fn client_main(args: &[String]) {
         std::fs::create_dir_all(dir)
             .unwrap_or_else(|e| fatal(&format!("cannot create {}: {e}", dir.display())));
     }
-    let stream: Box<dyn Iterator<Item = std::io::Result<(String, ResponseLine)>>> =
-        if reconnects > 0 {
-            Box::new(
-                client_stream_resilient(&addr, &req, reconnects)
-                    .unwrap_or_else(|e| fatal(&format!("connect {addr}: {e}"))),
-            )
-        } else {
-            Box::new(
-                client_stream(&addr, &req)
-                    .unwrap_or_else(|e| fatal(&format!("connect {addr}: {e}"))),
-            )
-        };
+    let stream = client_stream_resilient(&addr, &req, reconnects)
+        .unwrap_or_else(|e| fatal(&format!("connect {addr}: {e}")));
     let mut rejected = false;
     let mut failed = 0u64;
     let mut stats_raw: Option<String> = None;

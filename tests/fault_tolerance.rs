@@ -147,7 +147,21 @@ proptest! {
     fn seeded_faults_leave_all_other_jobs_bit_identical(seed in any::<u64>()) {
         let ec = ExperimentConfig::quick(20);
         let jobs = reduced_jobs(&ec);
-        let plan = FaultPlan::seeded(seed, 3, jobs.len() as u64);
+        // Three distinct indices drawn from the seed (splitmix64), kinds
+        // cycling through panic, budget and diverge.
+        let kinds = [FaultKind::Panic, FaultKind::Budget, FaultKind::Diverge];
+        let mut state = seed;
+        let mut plan = FaultPlan::new();
+        while plan.len() < kinds.len() {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let idx = (z ^ (z >> 31)) % jobs.len() as u64;
+            if plan.fault_at(idx).is_none() {
+                let kind = kinds[plan.len()];
+                plan = plan.inject(idx, kind);
+            }
+        }
         let faulted_indices: Vec<u64> = plan.iter().map(|(i, _)| i).collect();
 
         let mut runner = SweepRunner::with_workers(&ec, 3);

@@ -3,8 +3,12 @@
 //! mid-line EOF must every one surface as a *typed* error — a
 //! `ResponseLine::parse` `Err` or an `InvalidData` I/O error from
 //! `ResponseStream` — never a panic and never silent stream termination.
+//! The `client` command holds to the same contract: a stream that ends
+//! before `done` is a failed run.
 
-use std::io::Cursor;
+use std::io::{BufRead, BufReader, Cursor, Write};
+use std::net::TcpListener;
+use std::process::Command;
 
 use wishbranch_core::{ResponseLine, ResponseStream, RESPONSE_SCHEMA};
 
@@ -83,4 +87,32 @@ fn stream_of_empty_input_is_empty_not_an_error() {
     assert!(ResponseStream::from_reader(Cursor::new(String::new()))
         .next()
         .is_none());
+}
+
+#[test]
+fn client_exits_1_when_the_stream_ends_before_done() {
+    // A server that admits the request and then hangs up.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr").to_string();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().expect("accept");
+        let mut request = String::new();
+        BufReader::new(sock.try_clone().expect("clone"))
+            .read_line(&mut request)
+            .expect("read request");
+        let accepted = ResponseLine::Accepted {
+            tenant: "default".into(),
+            fingerprint: 1,
+        };
+        writeln!(sock, "{}", accepted.to_line()).expect("send accepted");
+    });
+    let out = Command::new(env!("CARGO_BIN_EXE_wishbranch-repro"))
+        .args(["client", "--addr", &addr, "--quick", "--scale", "60", "fig10"])
+        .output()
+        .expect("run client");
+    server.join().expect("server thread");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains("before done"), "stderr: {stderr}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("\"type\":\"accepted\""));
 }

@@ -19,12 +19,12 @@
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use wishbranch_core::{
-    client_stream, client_stream_resilient, run_request, ChaosPlan, Experiment, ResponseLine,
-    ServeConfig, Server, SweepRequest,
+    client_stream, client_stream_resilient, ChaosPlan, Experiment, ResponseLine, ServeConfig,
+    Server, SweepRequest,
 };
 
 fn base_request(tenant: &str) -> SweepRequest {
@@ -120,9 +120,8 @@ fn assert_no_dups(out: &Outcome) -> HashSet<u64> {
 /// Ground truth for the fixed-seed request: the same sweep through the
 /// in-process engine.
 fn local_report() -> String {
-    let local = run_request(&base_request("local")).expect("local run");
-    assert_eq!(local.reports.len(), 1);
-    local.reports[0].to_json()
+    let runner = base_request("local").build_runner().expect("local runner");
+    Experiment::Fig10.run(&runner).to_json()
 }
 
 #[test]
@@ -146,6 +145,49 @@ fn hung_worker_is_killed_respawned_and_stream_stays_bit_identical() {
     // promptly (warm store, so this is fast).
     let again = drain(client_stream(&addr, &base_request("t2")).expect("reconnect"));
     assert_eq!(again.done.expect("second done").1, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A hang in the second experiment of a two-experiment request: the
+/// respawned worker replays the first experiment from the journal, report
+/// included, and the server forwards each report and each job once.
+#[test]
+fn respawn_replays_finished_experiments_without_duplicating_their_reports() {
+    let dir = std::env::temp_dir().join(format!("wishbranch-chaos-multi-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (_server, addr) = start(chaos_config(&dir, "hang@50"));
+    let mut req = base_request("t");
+    req.experiments = vec![Experiment::Fig10, Experiment::Fig12];
+    // The local reference, recording every job key it runs. Fig. 12
+    // reruns some of Fig. 10's jobs, so keys are fewer than jobs.
+    let keys = Arc::new(Mutex::new(HashSet::new()));
+    let mut runner = req.build_runner().expect("local runner");
+    let sink = Arc::clone(&keys);
+    runner.set_observer(Arc::new(move |key, _| {
+        sink.lock().unwrap().insert(key);
+    }));
+    let fig10 = Experiment::Fig10.run(&runner).to_json();
+    assert!(runner.summary().jobs <= 50, "the hang must strike after fig10 finished");
+    let fig12 = Experiment::Fig12.run(&runner).to_json();
+    let truth = [("fig10".to_string(), fig10), ("fig12".to_string(), fig12)];
+
+    let lines: Vec<(String, ResponseLine)> = client_stream(&addr, &req)
+        .expect("connect")
+        .map(|item| item.expect("typed, parseable line"))
+        .collect();
+    let dones = lines
+        .iter()
+        .filter(|(_, l)| matches!(l, ResponseLine::Done { .. }))
+        .count();
+    assert_eq!(dones, 1, "exactly one done line");
+    assert!(matches!(lines.last(), Some((_, ResponseLine::Done { failed: 0, .. }))));
+    let out = drain(lines.into_iter().map(Ok));
+    assert_eq!(out.reports, truth, "each report once, byte-identical to local");
+    let (jobs, _) = out.done.expect("done");
+    assert_eq!(jobs, runner.summary().jobs, "the resumed worker accounts for every job");
+    assert_eq!(assert_no_dups(&out), *keys.lock().unwrap(), "gap-free, each key once");
+    let (respawns, hung_killed, _, _) = out.stats.expect("stats line");
+    assert!(hung_killed >= 1 && respawns >= 1, "the hang forced a respawn");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

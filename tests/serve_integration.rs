@@ -10,8 +10,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use wishbranch_core::{
-    client_stream, run_request, Experiment, FaultPlan, ResponseLine, ServeConfig, Server,
-    SweepRequest,
+    client_stream, Experiment, FaultPlan, ResponseLine, ServeConfig, Server, SweepRequest,
+    SweepSummary,
 };
 
 fn base_request(tenant: &str) -> SweepRequest {
@@ -21,6 +21,19 @@ fn base_request(tenant: &str) -> SweepRequest {
     req.scale = 60;
     req.workers = Some(2);
     req
+}
+
+/// The in-process reference: the same request on one runner built from
+/// it, as the CLI runs it — `(experiment, report JSON)` in request order,
+/// and the runner's summary.
+fn local_run(req: &SweepRequest) -> (Vec<(String, String)>, SweepSummary) {
+    let runner = req.build_runner().expect("local runner");
+    let reports = req
+        .experiments
+        .iter()
+        .map(|exp| (exp.id().to_string(), exp.run(&runner).to_json()))
+        .collect();
+    (reports, runner.summary())
 }
 
 /// Drains one served request into (lines, report payloads by experiment).
@@ -33,6 +46,8 @@ struct Outcome {
     /// the server's `stats` line.
     stats: Option<(u64, u64, u64, u64)>,
     done: Option<(u64, u64, u64, u64, u64, u64, u64)>,
+    /// The raw `failures` array contents of the `done` line.
+    failures: String,
 }
 
 fn drive(addr: &str, req: &SweepRequest) -> Outcome {
@@ -43,6 +58,7 @@ fn drive(addr: &str, req: &SweepRequest) -> Outcome {
         reports: Vec::new(),
         stats: None,
         done: None,
+        failures: String::new(),
     };
     for item in client_stream(addr, req).expect("connect") {
         let (_raw, line) = item.expect("stream");
@@ -70,8 +86,10 @@ fn drive(addr: &str, req: &SweepRequest) -> Outcome {
                 profile_misses,
                 compile_misses,
                 sim_cycles,
+                failures,
                 ..
             } => {
+                out.failures = failures;
                 out.done = Some((
                     jobs,
                     failed,
@@ -107,9 +125,9 @@ fn served_sweeps_are_bit_identical_cached_and_crash_safe() {
 
     // The ground truth: the same typed request through the in-process
     // engine.
-    let local = run_request(&base_request("local")).expect("local run");
-    assert_eq!(local.reports.len(), 1);
-    let local_json = local.reports[0].to_json();
+    let (mut local, _) = local_run(&base_request("local"));
+    assert_eq!(local.len(), 1);
+    let local_json = local.remove(0).1;
 
     // 1. Cold store, budgeted tenant: full simulation, report
     //    bit-identical to the in-process engine.
@@ -179,5 +197,46 @@ fn served_sweeps_are_bit_identical_cached_and_crash_safe() {
         .expect("accept thread")
         .expect("run returns cleanly after a drain");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A multi-experiment request runs on one worker, as the CLI runs it on
+/// one runner: the fault plan's indices count across the whole request,
+/// so `panic@3` strikes once, and every report matches the local run.
+#[test]
+fn served_multi_experiment_request_matches_one_local_runner() {
+    let dir = std::env::temp_dir().join(format!("wishbranch-serve-multi-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cfg = ServeConfig::new(env!("CARGO_BIN_EXE_wishbranch-repro"), dir.join("state"));
+    let server = Arc::new(Server::bind("127.0.0.1:0", cfg).expect("bind"));
+    let addr = server.local_addr().expect("local addr").to_string();
+    {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.run());
+    }
+
+    let mut req = base_request("multi");
+    req.experiments = vec![Experiment::Fig10, Experiment::Fig12];
+    req.fault_plan = Some(FaultPlan::parse("panic@3").expect("plan"));
+    let served = drive(&addr, &req);
+    let (reports, summary) = local_run(&req);
+    assert_eq!(served.reports, reports, "served reports equal the local run's");
+    let (jobs, failed, _, _, profile_misses, compile_misses, sim_cycles) =
+        served.done.expect("done line");
+    assert_eq!(
+        (jobs, profile_misses, compile_misses, sim_cycles),
+        (
+            summary.jobs,
+            summary.profile_misses,
+            summary.compile_misses,
+            summary.sim_cycles
+        ),
+        "the done line counts what one shared runner does"
+    );
+    assert_eq!(failed, 1, "the fault strikes once per request, not once per experiment");
+    assert_eq!(served.failures.matches("\"index\":").count(), 1, "{}", served.failures);
+    assert!(served.failures.starts_with("{\"index\":3,"), "{}", served.failures);
+
+    server.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
